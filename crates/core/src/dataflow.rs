@@ -1,14 +1,14 @@
 //! Monotone dataflow analysis over the sealed plan IR.
 //!
-//! A generic forward/backward analysis framework over [`PlanIr`]'s CSR
-//! topology, plus three concrete analyses the linter and optimizer
-//! consume:
+//! A generic forward analysis framework over [`PlanIr`]'s CSR topology,
+//! plus three concrete analyses the linter and optimizer consume:
 //!
 //! 1. **Rate/width propagation** ([`RateAnalysis`]) — per-edge brackets
-//!    `[lo, hi]` on the *unthrottled offered* tuple rate and tuple width,
-//!    mirroring the analytical model's `propagate_with` transfer exactly
-//!    when a deployment is given (point intervals), and hulling over all
-//!    parallelism degrees when only a logical plan is known.
+//!    `[lo, hi]` on the *unthrottled offered* tuple rate and tuple width.
+//!    The transfer is the analytical model's own per-operator rate
+//!    transfer ([`op_rates`]) at [`Interval`], with the degree pinned
+//!    to the deployment's effective parallelism (point intervals) or
+//!    ranging over `p ∈ [1, ∞]` when only a logical plan is known.
 //! 2. **Key-cardinality & partitioning-property flow** ([`KeyAnalysis`])
 //!    — an upper bound on distinct keys in flight and a flat lattice of
 //!    distribution properties (unreached / hash-on-key / arbitrary).
@@ -24,11 +24,10 @@
 //! and the optimizer's ZT704 lattice capping are derived from these fact
 //! maps; `explain_dataflow` renders them per edge.
 
-use zt_dspsim::analytical::NET_UTIL_CAP;
+use zt_dspsim::analytical::{op_rates, NET_UTIL_CAP};
 use zt_dspsim::cluster::Cluster;
 use zt_query::{
-    DataType, LogicalPlan, OpId, OperatorKind, ParallelQueryPlan, Partitioning, PlanIr,
-    TupleSchema, WindowPolicy, WindowSpec,
+    DataType, LogicalPlan, OpId, OperatorKind, ParallelQueryPlan, Partitioning, PlanIr, TupleSchema,
 };
 
 use crate::bounds::Interval;
@@ -37,14 +36,6 @@ use crate::diagnostics::Diagnostic;
 // ---------------------------------------------------------------------------
 // Framework
 // ---------------------------------------------------------------------------
-
-/// Direction facts flow in: `Forward` from sources toward sinks,
-/// `Backward` from sinks toward sources.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Direction {
-    Forward,
-    Backward,
-}
 
 /// A join-semilattice of analysis facts.
 ///
@@ -60,19 +51,15 @@ pub trait Domain: Clone + PartialEq + std::fmt::Debug {
     fn leq(&self, other: &Self) -> bool;
 }
 
-/// One dataflow analysis: a domain plus a per-operator transfer function.
+/// One forward dataflow analysis: a domain plus a per-operator transfer
+/// function.
 pub trait Analysis {
     type Fact: Domain;
 
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
-
-    /// Compute the fact an operator produces on its outgoing (forward) or
-    /// incoming (backward) edges. `edges` are positions in
-    /// `plan.edges()` for the operator's incoming (forward) or outgoing
-    /// (backward) edges — parallel to `inputs`, so transfers can consult
-    /// per-edge context such as partitioning strategies.
+    /// Compute the fact an operator produces on its outgoing edges.
+    /// `edges` are positions in `plan.edges()` for the operator's incoming
+    /// edges — parallel to `inputs`, so transfers can consult per-edge
+    /// context such as partitioning strategies.
     fn transfer(
         &self,
         plan: &LogicalPlan,
@@ -84,8 +71,7 @@ pub trait Analysis {
 }
 
 /// Deterministic fact maps of one solved analysis: one fact per operator
-/// (its output fact for forward analyses, input fact for backward) and
-/// one per edge (the fact flowing across it).
+/// (its output fact) and one per edge (the fact flowing across it).
 #[derive(Clone, PartialEq, Debug)]
 pub struct Facts<D> {
     pub per_op: Vec<D>,
@@ -105,35 +91,20 @@ impl<D> Facts<D> {
 /// Solve an analysis to its least fixpoint.
 ///
 /// Because the sealed IR is a DAG and `ir.topo_order()` is cached at seal
-/// time, one sweep in topological order (reversed for backward analyses)
-/// suffices: every predecessor fact is final before it is consumed. The
-/// result is a pure function of `(plan, ir, analysis)` — no iteration
-/// order or worklist nondeterminism.
+/// time, one sweep in topological order suffices: every predecessor fact
+/// is final before it is consumed. The result is a pure function of
+/// `(plan, ir, analysis)` — no iteration order or worklist
+/// nondeterminism.
 pub fn solve<A: Analysis>(analysis: &A, plan: &LogicalPlan, ir: &PlanIr) -> Facts<A::Fact> {
     let mut per_op = vec![A::Fact::bottom(); ir.num_ops()];
     let mut per_edge = vec![A::Fact::bottom(); ir.num_edges()];
-    let forward = analysis.direction() == Direction::Forward;
-    let order: Vec<OpId> = if forward {
-        ir.topo_order().to_vec()
-    } else {
-        ir.topo_order().iter().rev().copied().collect()
-    };
     let mut inputs: Vec<A::Fact> = Vec::new();
-    for id in order {
-        let in_edges = if forward {
-            ir.upstream_edges(id)
-        } else {
-            ir.downstream_edges(id)
-        };
+    for &id in ir.topo_order() {
+        let in_edges = ir.upstream_edges(id);
         inputs.clear();
         inputs.extend(in_edges.iter().map(|&e| per_edge[e as usize].clone()));
         let fact = analysis.transfer(plan, ir, id, in_edges, &inputs);
-        let out_edges = if forward {
-            ir.downstream_edges(id)
-        } else {
-            ir.upstream_edges(id)
-        };
-        for &e in out_edges {
+        for &e in ir.downstream_edges(id) {
             per_edge[e as usize] = fact.clone();
         }
         per_op[id.idx()] = fact;
@@ -155,13 +126,8 @@ pub fn is_fixpoint<A: Analysis>(
     if facts.per_op.len() != ir.num_ops() || facts.per_edge.len() != ir.num_edges() {
         return false;
     }
-    let forward = analysis.direction() == Direction::Forward;
     ir.topo_order().iter().all(|&id| {
-        let in_edges = if forward {
-            ir.upstream_edges(id)
-        } else {
-            ir.downstream_edges(id)
-        };
+        let in_edges = ir.upstream_edges(id);
         let inputs: Vec<A::Fact> = in_edges
             .iter()
             .map(|&e| facts.per_edge[e as usize].clone())
@@ -169,12 +135,7 @@ pub fn is_fixpoint<A: Analysis>(
         if analysis.transfer(plan, ir, id, in_edges, &inputs) != facts.per_op[id.idx()] {
             return false;
         }
-        let out_edges = if forward {
-            ir.downstream_edges(id)
-        } else {
-            ir.upstream_edges(id)
-        };
-        out_edges
+        ir.downstream_edges(id)
             .iter()
             .all(|&e| facts.per_edge[e as usize] == facts.per_op[id.idx()])
     })
@@ -192,13 +153,6 @@ const EMPTY: Interval = Interval {
 
 fn iv_is_empty(iv: Interval) -> bool {
     iv.lo > iv.hi
-}
-
-fn iv_join(a: Interval, b: Interval) -> Interval {
-    Interval {
-        lo: a.lo.min(b.lo),
-        hi: a.hi.max(b.hi),
-    }
 }
 
 fn iv_leq(a: Interval, b: Interval) -> bool {
@@ -236,8 +190,8 @@ impl Domain for RateFact {
 
     fn join(&self, other: &Self) -> Self {
         RateFact {
-            rate: iv_join(self.rate, other.rate),
-            width: iv_join(self.width, other.width),
+            rate: self.rate.hull(other.rate),
+            width: self.width.hull(other.width),
         }
     }
 
@@ -246,22 +200,15 @@ impl Domain for RateFact {
     }
 }
 
-/// Rate/width propagation. With a deployment (`pqp: Some`), parallelism
-/// is pinned to each operator's *effective* degree and the transfer
-/// reproduces the analytical model's `propagate_with` output exactly
-/// (point intervals). Without one, join window contents are bracketed
-/// between the degree-1 maximum and the degree-∞ floor (one tuple per
-/// time window, `length` tuples per count window).
+/// Rate/width propagation: the steady-state model's per-operator rate
+/// transfer ([`op_rates`]) at [`Interval`], unthrottled. With a
+/// deployment (`pqp: Some`), each operator's degree is pinned to its
+/// *effective* parallelism and the facts are the model's point rates.
+/// Without one, the degree ranges over `p ∈ [1, ∞]`: join windows then
+/// hold between `tuples_per_window(0)` tuples (1 per time window,
+/// `length` per count window) and their degree-1 population.
 pub struct RateAnalysis<'a> {
     pub pqp: Option<&'a ParallelQueryPlan>,
-}
-
-/// Smallest possible window contents as parallelism grows without bound.
-fn window_floor(w: &WindowSpec) -> f64 {
-    match w.policy {
-        WindowPolicy::Count => w.length,
-        WindowPolicy::Time => 1.0,
-    }
 }
 
 impl Analysis for RateAnalysis<'_> {
@@ -275,52 +222,21 @@ impl Analysis for RateAnalysis<'_> {
         _edges: &[u32],
         inputs: &[RateFact],
     ) -> RateFact {
-        let sum_in = inputs
+        let upstream: Vec<Interval> = inputs
             .iter()
-            .filter(|f| !iv_is_empty(f.rate))
-            .fold(Interval::ZERO, |acc, f| acc + f.rate);
-        let rate = match &plan.op(id).kind {
-            OperatorKind::Source(s) => Interval::point(s.event_rate),
-            OperatorKind::Filter(f) => sum_in.scale(f.selectivity),
-            OperatorKind::Aggregate(a) => sum_in.scale(a.selectivity * a.window.overlap_factor()),
-            OperatorKind::Join(j) => {
-                let l = inputs.first().map_or(Interval::ZERO, |f| f.rate);
-                let r = inputs.get(1).map_or(Interval::ZERO, |f| f.rate);
-                let (l, r) = (
-                    if iv_is_empty(l) { Interval::ZERO } else { l },
-                    if iv_is_empty(r) { Interval::ZERO } else { r },
-                );
-                match self
-                    .pqp
-                    .map(|p| f64::from(p.effective_parallelism_of(id).max(1)))
-                {
-                    Some(p) => {
-                        // Exactly the analytical model's transfer: each of
-                        // the p instances holds a window over its share of
-                        // the other side's stream.
-                        let lo = j.selectivity
-                            * (l.lo * j.window.tuples_per_window(r.lo / p)
-                                + r.lo * j.window.tuples_per_window(l.lo / p));
-                        let hi = j.selectivity
-                            * (l.hi * j.window.tuples_per_window(r.hi / p)
-                                + r.hi * j.window.tuples_per_window(l.hi / p));
-                        Interval::new(lo, hi)
-                    }
-                    None => {
-                        // Hull over every degree p ≥ 1: window contents
-                        // shrink monotonically in p, so the bracket is
-                        // [p → ∞ floor, p = 1 maximum].
-                        let lo = j.selectivity
-                            * (l.lo * window_floor(&j.window) + r.lo * window_floor(&j.window));
-                        let hi = j.selectivity
-                            * (l.hi * j.window.tuples_per_window(r.hi)
-                                + r.hi * j.window.tuples_per_window(l.hi));
-                        Interval::new(lo, hi)
-                    }
+            .map(|f| {
+                if iv_is_empty(f.rate) {
+                    Interval::ZERO
+                } else {
+                    f.rate
                 }
-            }
-            OperatorKind::Sink(_) => sum_in,
+            })
+            .collect();
+        let p = match self.pqp {
+            Some(pqp) => Interval::point(f64::from(pqp.effective_parallelism_of(id).max(1))),
+            None => Interval::new(1.0, f64::INFINITY),
         };
+        let (_, rate) = op_rates(&plan.op(id).kind, &upstream, p, Interval::point(1.0));
         #[allow(clippy::cast_precision_loss)]
         let width = Interval::point(ir.output_schemas()[id.idx()].bytes() as f64);
         RateFact { rate, width }
@@ -782,53 +698,6 @@ mod tests {
         let point = solve(&RateAnalysis { pqp: Some(&pqp) }, &pqp.plan, &ir);
         for (h, p) in hull.per_op.iter().zip(&point.per_op) {
             assert!(p.leq(h), "point {p:?} escapes hull {h:?}");
-        }
-    }
-
-    #[test]
-    fn backward_analysis_runs_in_reverse_topo_order() {
-        /// Sink-distance: length of the longest path to any sink.
-        struct SinkDistance;
-        #[derive(Clone, Copy, PartialEq, Debug)]
-        struct Dist(u32);
-        impl Domain for Dist {
-            fn bottom() -> Self {
-                Dist(0)
-            }
-            fn top() -> Self {
-                Dist(u32::MAX)
-            }
-            fn join(&self, other: &Self) -> Self {
-                Dist(self.0.max(other.0))
-            }
-            fn leq(&self, other: &Self) -> bool {
-                self.0 <= other.0
-            }
-        }
-        impl Analysis for SinkDistance {
-            type Fact = Dist;
-            fn direction(&self) -> Direction {
-                Direction::Backward
-            }
-            fn transfer(
-                &self,
-                _plan: &LogicalPlan,
-                _ir: &PlanIr,
-                _id: OpId,
-                _edges: &[u32],
-                inputs: &[Dist],
-            ) -> Dist {
-                inputs.iter().fold(Dist(0), |a, b| Dist(a.0.max(b.0 + 1)))
-            }
-        }
-        let (pqp, ir) = spike();
-        let facts = solve(&SinkDistance, &pqp.plan, &ir);
-        assert!(is_fixpoint(&SinkDistance, &pqp.plan, &ir, &facts));
-        // The sink itself is at distance 0; sources are the farthest away.
-        assert_eq!(facts.op(ir.sink()).0, 0);
-        let max = facts.per_op.iter().map(|d| d.0).max().unwrap_or(0);
-        for &s in ir.sources() {
-            assert_eq!(facts.op(s).0, max, "chain source must be farthest");
         }
     }
 

@@ -105,10 +105,7 @@ pub use features::FeatureMask;
 pub use graph::{encode, EncodeContext, GraphEncoding, GraphNode, NodeKind};
 pub use lattice::{branch_and_bound, ParallelismLattice, SearchOutcome, SearchStats};
 pub use model::{ModelConfig, TargetNorm, ZeroTuneModel};
-pub use optimizer::{
-    dataflow_cap_from_env, prune_from_env, tune, OptimizerConfig, SearchSpace, TuneError,
-    TuningOutcome,
-};
+pub use optimizer::{tune, OptimizerConfig, SearchSpace, TuneError, TuningOutcome};
 pub use optisample::{EnumerationStrategy, OptiSampleConfig, RandomConfig};
 pub use qerror::{q_error, QErrorStats};
 pub use train::{evaluate, train, TrainConfig, TrainReport};

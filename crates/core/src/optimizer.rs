@@ -41,7 +41,7 @@ pub enum SearchSpace {
     /// The product lattice of per-operator degree sets (derived from the
     /// flat candidates), explored by bounds-guided branch-and-bound
     /// ([`crate::lattice::branch_and_bound`]) when pruning is on, or
-    /// scored exhaustively under `--no-prune`/small spaces. Outcome-
+    /// scored exhaustively without pruning or on small spaces. Outcome-
     /// equivalent to exhaustive scoring of the same lattice by
     /// construction.
     Lattice {
@@ -146,10 +146,9 @@ pub struct OptimizerConfig {
     /// candidate is better on both metrics with non-overlapping
     /// intervals). Marked candidates never win the argmin and never feed
     /// Eq. 1's normalization envelope either way, so the chosen plan is
-    /// identical with pruning on or off; the knob only decides whether
-    /// their model inference is skipped (on, the default) or still run
-    /// (`ZT_NO_PRUNE=1`, the `--no-prune` flag on the experiment
-    /// binaries).
+    /// identical with pruning on or off. On by default; `false` scores
+    /// every candidate, the exhaustive oracle the equivalence tests
+    /// compare against.
     pub prune: bool,
     /// Cap each operator's lattice degree axis at its key-cardinality
     /// bound (the ZT704 condition): degrees beyond the cap deploy
@@ -157,33 +156,13 @@ pub struct OptimizerConfig {
     /// idle — so only the smallest such degree is kept as the canonical
     /// representative. Outcome-neutral (removed points are
     /// prediction-identical duplicates of their representative) but
-    /// shrinks the searched lattice. On unless `ZT_NO_DATAFLOW_CAP` is
-    /// set (`--no-dataflow-cap` on the experiment binaries). Only affects
-    /// [`SearchSpace::Lattice`].
+    /// shrinks the searched lattice. On by default; `false` searches the
+    /// uncapped lattice, the oracle the equivalence tests compare
+    /// against. Only affects [`SearchSpace::Lattice`].
     pub dataflow_cap: bool,
     /// Shape of the explored configuration space (flat candidate list or
     /// branch-and-bound over the parallelism lattice).
     pub search: SearchSpace,
-}
-
-/// Whether the bounds pruning pre-pass is enabled: on unless `ZT_NO_PRUNE`
-/// is set to `1`, `true` or `yes`. The experiment binaries map
-/// `--no-prune` onto this variable.
-pub fn prune_from_env() -> bool {
-    !matches!(
-        std::env::var("ZT_NO_PRUNE").as_deref(),
-        Ok("1") | Ok("true") | Ok("yes")
-    )
-}
-
-/// Whether the key-cardinality lattice cap is enabled: on unless
-/// `ZT_NO_DATAFLOW_CAP` is set to `1`, `true` or `yes`. The experiment
-/// binaries map `--no-dataflow-cap` onto this variable.
-pub fn dataflow_cap_from_env() -> bool {
-    !matches!(
-        std::env::var("ZT_NO_DATAFLOW_CAP").as_deref(),
-        Ok("1") | Ok("true") | Ok("yes")
-    )
 }
 
 impl Default for OptimizerConfig {
@@ -197,8 +176,8 @@ impl Default for OptimizerConfig {
             mask: FeatureMask::all(),
             seed: 0x0471,
             strict: crate::diagnostics::strict_from_env(),
-            prune: prune_from_env(),
-            dataflow_cap: dataflow_cap_from_env(),
+            prune: true,
+            dataflow_cap: true,
             search: SearchSpace::Flat,
         }
     }
@@ -830,11 +809,9 @@ mod tests {
     }
 
     #[test]
-    fn prune_env_knob_parses() {
-        // Read-only check of the default: the test harness does not set
-        // ZT_NO_PRUNE, so pruning defaults on.
-        assert!(prune_from_env());
-        assert!(OptimizerConfig::default().prune);
+    fn pruning_and_capping_default_on() {
+        let cfg = OptimizerConfig::default();
+        assert!(cfg.prune && cfg.dataflow_cap);
     }
 
     #[test]

@@ -27,7 +27,10 @@
 //!   assignment, data locality.
 //! * [`costmodel`] — per-tuple CPU service costs, serialization and network
 //!   costs.
-//! * [`analytical`] — the queueing solver.
+//! * [`analytical`] — the queueing solver, written once over [`Num`] so
+//!   it evaluates at `f64` (point estimates) and at [`Interval`] (sound
+//!   brackets, see `zt_core::bounds`).
+//! * [`interval`] — closed non-negative intervals.
 //! * [`simcache`] — memoization of the deterministic solver core for
 //!   repeated `(plan, cluster, parallelism)` evaluations.
 //! * [`noise`] — multiplicative lognormal measurement noise.
@@ -41,17 +44,19 @@ pub mod cluster;
 pub mod costmodel;
 pub mod engine;
 pub mod explain;
+pub mod interval;
 pub mod metrics;
 pub mod noise;
 pub mod placement;
 pub mod simcache;
 
 pub use analytical::{
-    simulate, simulate_core, OpMetrics, QueryMetrics, SimConfig, CHAINED_HOP_MS,
+    simulate, simulate_core, Num, OpMetrics, QueryMetrics, SimConfig, CHAINED_HOP_MS,
     EXCHANGE_OVERHEAD_MS, INFLIGHT_WAIT_CAP_MS, NET_UTIL_CAP, RHO_CAP,
 };
 pub use cluster::{Cluster, ClusterType, NodeSpec};
 pub use engine::{EngineConfig, EngineMetrics, SinkMetrics};
+pub use interval::Interval;
 pub use noise::NoiseConfig;
 pub use placement::{place, place_with, ChainingMode, Deployment, EdgeExchange};
 pub use simcache::{CacheStats, SimCache};

@@ -1,6 +1,6 @@
 //! Exp. 5 runner: Fig. 10a–b optimizer comparison (greedy, Dhalion).
 //!
-//! Usage: `cargo run --release --bin exp5_optimizer -- [--scale smoke|standard|full] [--workers N] [--resume[=DIR]] [--strict] [--telemetry[=PATH]] [--no-prune] [--no-dataflow-cap]`
+//! Usage: `cargo run --release --bin exp5_optimizer -- [--scale smoke|standard|full] [--workers N] [--resume[=DIR]] [--strict] [--telemetry[=PATH]]`
 
 use zt_experiments::{exp5, report, Scale};
 

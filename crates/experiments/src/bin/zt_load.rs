@@ -45,7 +45,7 @@ struct Shot {
     body: Option<String>,
 }
 
-#[derive(Serialize)]
+#[derive(Debug, Serialize)]
 struct PhaseReport {
     phase: String,
     requests: usize,
@@ -216,9 +216,10 @@ fn phase_report(
         failures,
         elapsed_ms: elapsed_s * 1e3,
         qps: latencies.len() as f64 / elapsed_s.max(1e-9),
-        p50_ms: summary.percentile(0.50),
-        p95_ms: summary.percentile(0.95),
-        p99_ms: summary.percentile(0.99),
+        // `Summary::percentile` takes q in [0, 100].
+        p50_ms: summary.percentile(50.0),
+        p95_ms: summary.percentile(95.0),
+        p99_ms: summary.percentile(99.0),
         mean_ms: summary.mean(),
         cache_hits: cache_after.0 - cache_before.0,
         cache_misses: cache_after.1 - cache_before.1,
@@ -354,5 +355,34 @@ fn main() {
     if total_failures > 0 {
         eprintln!("zt-load: {total_failures} request(s) failed");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quantiles_order_on_a_right_skewed_sample() {
+        // Mostly fast requests with a slow tail: the mean sits above the
+        // median and below the p99.
+        let latencies: Vec<f64> = (0..1000)
+            .map(|i| {
+                if i % 50 == 0 {
+                    40.0
+                } else {
+                    1.0 + f64::from(i % 7) * 0.1
+                }
+            })
+            .collect();
+        let r = phase_report("cold", &latencies, 1.0, 0, (0, 0), (0, 0));
+        assert!(
+            r.p99_ms >= r.mean_ms,
+            "p99 {} < mean {}",
+            r.p99_ms,
+            r.mean_ms
+        );
+        assert!(r.p50_ms <= r.p95_ms && r.p95_ms <= r.p99_ms, "{r:?}");
+        assert!(r.p50_ms < r.mean_ms);
     }
 }

@@ -54,7 +54,7 @@ pub struct Exp5Result {
     /// tuning runs (post-pruning).
     pub candidates_scored: usize,
     /// Candidates discarded by the interval-bounds pruning pre-pass
-    /// before any model inference ran (0 with `--no-prune`).
+    /// before any model inference ran.
     pub candidates_pruned: usize,
 }
 

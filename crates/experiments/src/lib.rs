@@ -132,17 +132,11 @@ pub struct DatagenArgs {
     /// `--telemetry` (trace to the default path) / `--telemetry=PATH`.
     /// `None` leaves the `ZT_TELEMETRY` environment variable in charge.
     pub telemetry: Option<Option<String>>,
-    /// `--no-prune`: disable the optimizer's interval-bounds pruning
-    /// pre-pass (exhaustive candidate scoring).
-    pub no_prune: bool,
-    /// `--no-dataflow-cap`: disable the optimizer's key-cardinality
-    /// lattice capping (search the full degree axes).
-    pub no_dataflow_cap: bool,
 }
 
 impl DatagenArgs {
-    /// Parse `--workers` / `--resume` / `--strict` / `--telemetry` /
-    /// `--no-prune` / `--no-dataflow-cap` from an argument list.
+    /// Parse `--workers` / `--resume` / `--strict` / `--telemetry` from an
+    /// argument list.
     pub fn parse(args: &[String]) -> Self {
         let mut out = DatagenArgs::default();
         for (i, a) in args.iter().enumerate() {
@@ -160,10 +154,6 @@ impl DatagenArgs {
                 out.telemetry = Some(None);
             } else if let Some(v) = a.strip_prefix("--telemetry=") {
                 out.telemetry = Some(Some(v.to_string()));
-            } else if a == "--no-prune" {
-                out.no_prune = true;
-            } else if a == "--no-dataflow-cap" {
-                out.no_dataflow_cap = true;
             }
         }
         out
@@ -171,19 +161,17 @@ impl DatagenArgs {
 }
 
 /// Map the shared `--workers N` / `--resume[=DIR]` / `--strict` /
-/// `--telemetry[=PATH]` / `--no-prune` / `--no-dataflow-cap` CLI flags
-/// onto the `ZT_DATAGEN_WORKERS` / `ZT_DATAGEN_RESUME` / `ZT_STRICT` /
-/// `ZT_TELEMETRY`(`_PATH`) / `ZT_NO_PRUNE` / `ZT_NO_DATAFLOW_CAP`
+/// `--telemetry[=PATH]` CLI flags onto the `ZT_DATAGEN_WORKERS` /
+/// `ZT_DATAGEN_RESUME` / `ZT_STRICT` / `ZT_TELEMETRY`(`_PATH`)
 /// environment variables read by
 /// [`zt_core::datagen::GenPlan::from_env`],
-/// [`zt_core::diagnostics::strict_from_env`],
-/// [`zt_core::telemetry::init_from_env`] and
-/// [`zt_core::optimizer::prune_from_env`], so every `generate_dataset` /
+/// [`zt_core::diagnostics::strict_from_env`] and
+/// [`zt_core::telemetry::init_from_env`], so every `generate_dataset` /
 /// `train` / `tune` call inside the experiment — including nested ones
 /// in the exp modules — inherits the worker count, the resumable shard
-/// directory, the strict pre-flight mode, the telemetry level and the
-/// pruning knob. Call this first thing in an experiment `main`; pair
-/// with [`finish_telemetry`] last thing.
+/// directory, the strict pre-flight mode and the telemetry level. Call
+/// this first thing in an experiment `main`; pair with
+/// [`finish_telemetry`] last thing.
 pub fn apply_datagen_cli() {
     let args: Vec<String> = std::env::args().collect();
     let parsed = DatagenArgs::parse(&args);
@@ -204,14 +192,6 @@ pub fn apply_datagen_cli() {
             std::env::set_var("ZT_TELEMETRY_PATH", p);
         }
         eprintln!("telemetry: trace mode enabled");
-    }
-    if parsed.no_prune {
-        std::env::set_var("ZT_NO_PRUNE", "1");
-        eprintln!("optimizer: bounds pruning pre-pass disabled (exhaustive scoring)");
-    }
-    if parsed.no_dataflow_cap {
-        std::env::set_var("ZT_NO_DATAFLOW_CAP", "1");
-        eprintln!("optimizer: key-cardinality lattice capping disabled (full degree axes)");
     }
     // Telemetry may already have self-initialized from a pre-existing
     // ZT_TELEMETRY value; re-read so the flags above take effect.
@@ -315,9 +295,6 @@ mod tests {
         assert_eq!(d.telemetry, Some(None));
         let e = DatagenArgs::parse(&args(&["exp", "--telemetry=/tmp/t.json"]));
         assert_eq!(e.telemetry, Some(Some("/tmp/t.json".to_string())));
-        assert!(!e.no_prune);
-        let f = DatagenArgs::parse(&args(&["exp", "--no-prune"]));
-        assert!(f.no_prune);
     }
 
     #[test]
