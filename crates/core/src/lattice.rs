@@ -36,6 +36,7 @@
 //! everything", so the caller must fall back to exhaustive enumeration
 //! ([`SearchOutcome::feasible_found`] signals this).
 
+use zt_dspsim::analytical::offered_rate;
 use zt_dspsim::cluster::Cluster;
 use zt_query::{LogicalPlan, ParallelQueryPlan, PlanIr};
 
@@ -184,14 +185,7 @@ pub fn branch_and_bound(
     // never exceed the offered rate, latency never undercuts the external
     // I/O constant (the per-hop engine floors come on top; the constant
     // alone keeps the cut sound and parallelism-independent).
-    let offered: f64 = ir
-        .sources()
-        .iter()
-        .map(|&s| match &plan.op(s).kind {
-            zt_query::OperatorKind::Source(src) => src.event_rate,
-            _ => 0.0,
-        })
-        .sum();
+    let offered = offered_rate(plan, ir);
     let optimistic_latency_lo = bcfg.external_io_ms;
 
     let mut search = Dfs {

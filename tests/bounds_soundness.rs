@@ -223,8 +223,8 @@ proptest! {
 
     /// Intervals bracket the solver on asymmetric windowed joins (the
     /// opposite-window weighted average is the one quantity that is NOT
-    /// monotone in the backpressure throttle — the interval profile must
-    /// still contain it).
+    /// monotone in the backpressure throttle — the join's window envelope
+    /// must still contain it).
     #[test]
     fn brackets_solver_on_windowed_joins(
         rate_l in 100.0f64..1_000_000.0,
