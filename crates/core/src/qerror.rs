@@ -4,7 +4,7 @@
 //! which a prediction deviates from the truth, symmetrically for over- and
 //! under-estimation. A perfect estimate has q = 1.
 
-use zt_dspsim::metrics::percentile;
+use zt_dspsim::metrics::quantile;
 
 /// Q-error of a prediction against the true value. Values are clamped to
 /// a tiny positive floor so degenerate zero costs do not produce
@@ -39,8 +39,8 @@ impl QErrorStats {
             qs.iter().sum::<f64>() / qs.len() as f64
         };
         QErrorStats {
-            median: percentile(qs, 50.0),
-            p95: percentile(qs, 95.0),
+            median: quantile(qs, 0.5),
+            p95: quantile(qs, 0.95),
             mean,
             count: qs.len(),
         }

@@ -705,7 +705,7 @@ pub fn run<R: Rng + ?Sized>(
     EngineMetrics {
         latency_mean_ms: sink_latencies.mean(),
         latency_p50_ms: sink_latencies.median(),
-        latency_p95_ms: sink_latencies.percentile(95.0),
+        latency_p95_ms: sink_latencies.quantile(0.95),
         source_throughput: source_tuples / measured,
         sink_rate: sink_tuples / measured,
         samples: sink_latencies.len(),

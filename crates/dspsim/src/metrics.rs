@@ -8,4 +8,4 @@
 //! pinned edge-case semantics (NaN on empty, 0.0 spread on single-sample
 //! and constant series) and the property tests backing them.
 
-pub use zt_telemetry::summary::{percentile, Summary};
+pub use zt_telemetry::summary::{quantile, Summary};

@@ -5,7 +5,7 @@
 //! issue the *identical* request sequence:
 //!
 //! * `cold` — the server's prediction cache is empty, every `/predict`
-//!   goes through the micro-batching scorer;
+//!   is scored inline on a request worker;
 //! * `warm` — the same sequence again, so repeated feature vectors are
 //!   answered straight from the cache.
 //!
@@ -216,10 +216,9 @@ fn phase_report(
         failures,
         elapsed_ms: elapsed_s * 1e3,
         qps: latencies.len() as f64 / elapsed_s.max(1e-9),
-        // `Summary::percentile` takes q in [0, 100].
-        p50_ms: summary.percentile(50.0),
-        p95_ms: summary.percentile(95.0),
-        p99_ms: summary.percentile(99.0),
+        p50_ms: summary.quantile(0.5),
+        p95_ms: summary.quantile(0.95),
+        p99_ms: summary.quantile(0.99),
         mean_ms: summary.mean(),
         cache_hits: cache_after.0 - cache_before.0,
         cache_misses: cache_after.1 - cache_before.1,

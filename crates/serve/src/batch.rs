@@ -1,22 +1,18 @@
-//! Cross-request micro-batching into `predict_batch`.
+//! Cross-request micro-batching into `predict_batch`: submitters hand
+//! over a [`GraphEncoding`]; one scorer thread drains whatever
+//! accumulated — after a short coalescing window, up to `batch_max`
+//! graphs — and scores it with **one** `predict_batch` call.
 //!
-//! Handler threads encode their request into a [`GraphEncoding`] and
-//! submit it here; a single scorer thread drains whatever accumulated —
-//! after a short coalescing window, up to `batch_max` graphs — and runs
-//! **one** `predict_batch` call over the whole batch, amortizing the
-//! per-call setup the same way the offline optimizer does over its
-//! candidate set.
+//! The daemon does **not** use this module: at its request rates batches
+//! averaged 1.0–1.3 graphs, so the window, clone and channel hop cost
+//! more than the inference, and a `/predict` miss is scored inline on the
+//! request worker instead. The batcher, its `serve.batch` span and
+//! `serve.batch_size` histogram stay for the benchmark's batching replay.
 //!
-//! # Determinism and hot-swap atomicity
-//!
-//! `predict_batch` is contractually `graphs.iter().map(predict)` — same
-//! values, same order — so how requests happen to be grouped into
-//! batches can never change a prediction: every response is bitwise what
-//! the offline `predict_batch` returns for that encoding. The scorer
-//! snapshots the model registry **once per batch**, so all requests in a
-//! batch are scored by a single `(version, weights)` pair and the version
-//! returned alongside each prediction is exactly the one that produced
-//! it — a hot-swap can land between batches, never inside one.
+//! Grouping never changes a value (`predict_batch` is contractually
+//! `graphs.iter().map(predict)`), and the scorer snapshots the registry
+//! once per batch, so each result's version names the weights that
+//! produced it — a hot-swap lands between batches, never inside one.
 
 use std::sync::mpsc;
 use std::sync::{Condvar, Mutex};
@@ -110,6 +106,48 @@ impl MicroBatcher {
                 // (client went away); the scorer carries on.
                 let _ = item.tx.send((pred, snapshot.version));
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use zt_core::{encode, FeatureMask, ModelConfig, ZeroTuneModel};
+    use zt_dspsim::ChainingMode;
+    use zt_query::benchmarks::{smart_grid_local, spike_detection};
+    use zt_query::ParallelQueryPlan;
+
+    #[test]
+    fn scorer_answers_every_submission_with_predict_batch_values() {
+        let cluster = crate::server::default_cluster();
+        let graphs: Vec<GraphEncoding> = [spike_detection(800.0), smart_grid_local(1200.0)]
+            .into_iter()
+            .map(|plan| {
+                let pqp = ParallelQueryPlan::new(plan);
+                encode(&pqp, &cluster, ChainingMode::Auto, &FeatureMask::all())
+            })
+            .collect();
+        let model = ZeroTuneModel::new(ModelConfig::default());
+        let expected = model.predict_batch(&graphs);
+        let registry = ModelRegistry::new(model);
+        let batcher = MicroBatcher::new(32, 50);
+
+        let got: Vec<ScoreResult> = std::thread::scope(|s| {
+            let scorer = s.spawn(|| batcher.run_scorer(&registry));
+            let rxs: Vec<_> = graphs.iter().map(|g| batcher.submit(g.clone())).collect();
+            let got = rxs
+                .into_iter()
+                .map(|rx| rx.recv().expect("scored"))
+                .collect();
+            batcher.shutdown();
+            scorer.join().expect("scorer exits after shutdown");
+            got
+        });
+        for ((pred, version), want) in got.iter().zip(&expected) {
+            assert_eq!(*version, 1);
+            assert_eq!(pred.latency_ms.to_bits(), want.latency_ms.to_bits());
+            assert_eq!(pred.throughput.to_bits(), want.throughput.to_bits());
         }
     }
 }

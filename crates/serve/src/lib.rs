@@ -12,7 +12,7 @@
 //!
 //! | Endpoint | Meaning |
 //! |---|---|
-//! | `POST /predict` | What-if cost of one deployment (micro-batched `predict_batch`, LRU-cached) |
+//! | `POST /predict` | What-if cost of one deployment (scored inline on the request worker, LRU-cached) |
 //! | `POST /tune`    | Full parallelism tuning via `zt_core::tune` (bounds pre-pass included) |
 //! | `POST /explain` | Prediction + static bounds brackets + occlusion attribution |
 //! | `POST /lint`    | `zt_core::diagnostics` over the shipped deployment |
@@ -27,8 +27,8 @@
 //!
 //! Same request body + same model version ⇒ byte-identical response
 //! body. Ingredients: deterministic encode (`EncodeContext` over the
-//! sealed IR), `predict_batch`'s contract that batching never changes
-//! values, `tune`'s self-seeded RNG, and `serde_json`'s shortest
+//! sealed IR), `predict` being bitwise `predict_batch` on a one-graph
+//! slice (the offline scoring call), `tune`'s self-seeded RNG, and `serde_json`'s shortest
 //! round-trip float rendering. The prediction cache stores whole rendered
 //! bodies under the exact serialized feature vector (version-prefixed),
 //! so a cache hit is *provably* byte-identical to the miss that populated

@@ -10,11 +10,11 @@
 //! tests and `zt-load`).
 //!
 //! Inside `run`, everything lives under one `std::thread::scope`: N
-//! request workers popping connections off a bounded queue, one
-//! micro-batch scorer, and the accept loop on the calling thread. The
-//! accept loop only enqueues; when the queue is full the connection is
-//! answered `503` right there — the daemon sheds load instead of
-//! buffering unboundedly.
+//! request workers popping connections off a bounded queue (each serves
+//! its request end to end, `/predict` inference included), and the
+//! accept loop on the calling thread. The accept loop only enqueues;
+//! when the queue is full the connection is answered `503` right there
+//! — the daemon sheds load instead of buffering unboundedly.
 //!
 //! # Graceful shutdown
 //!
@@ -22,8 +22,8 @@
 //! with a throwaway connection so `accept` returns. The accept loop then
 //! closes the queue; workers finish **everything already accepted**
 //! (requests whose bytes have not even arrived yet included) before
-//! exiting; the scorer drains the last batch after the workers are done.
-//! No accepted request is ever dropped.
+//! exiting, and `run` returns once they are joined. No accepted request
+//! is ever dropped.
 //!
 //! # Telemetry
 //!
@@ -31,7 +31,7 @@
 //! `serve.lint` / `serve.healthz` / `serve.swap_model` plus latency
 //! histograms `serve.<endpoint>_ms`; counters `serve.requests`,
 //! `serve.cache_hit`, `serve.cache_miss`, `serve.rejected`, `serve.swap`
-//! and the scorer's `serve.batch` span / `serve.batch_size` histogram.
+//! and a `serve.infer` span around each `/predict` miss's inference.
 
 use std::collections::VecDeque;
 use std::io;
@@ -52,7 +52,6 @@ use crate::api::{
     self, ApiError, ExplainResponse, HealthResponse, LintDiagnostic, LintResponse, PredictResponse,
     SwapResponse, TuneResponse,
 };
-use crate::batch::MicroBatcher;
 use crate::cache::{CacheStats, ResponseCache};
 use crate::http::{self, HttpError, Request};
 use crate::registry::{ModelRegistry, SwapRejection};
@@ -70,9 +69,10 @@ pub struct ServeConfig {
     pub max_body_bytes: usize,
     /// Prediction cache capacity (entries).
     pub cache_capacity: usize,
-    /// Micro-batch size cap for the scorer.
+    /// Batch cap for a standalone [`crate::batch::MicroBatcher`]; the
+    /// daemon scores `/predict` misses inline and does not read it.
     pub batch_max: usize,
-    /// Micro-batch coalescing window in microseconds.
+    /// Coalescing window (µs) for a standalone `MicroBatcher`; unread.
     pub batch_wait_us: u64,
 }
 
@@ -153,12 +153,11 @@ impl AcceptQueue {
     }
 }
 
-/// State shared by the accept loop, workers, scorer and handle.
+/// State shared by the accept loop, workers and handle.
 pub(crate) struct Shared {
     cfg: ServeConfig,
     registry: ModelRegistry,
     cache: ResponseCache,
-    batcher: MicroBatcher,
     shutdown: AtomicBool,
     requests: AtomicU64,
     default_cluster: Cluster,
@@ -175,7 +174,6 @@ impl Server {
         let shared = Arc::new(Shared {
             registry: ModelRegistry::new(model),
             cache: ResponseCache::new(cfg.cache_capacity),
-            batcher: MicroBatcher::new(cfg.batch_max, cfg.batch_wait_us),
             shutdown: AtomicBool::new(false),
             requests: AtomicU64::new(0),
             default_cluster: default_cluster(),
@@ -205,7 +203,6 @@ impl BoundServer {
             let workers: Vec<_> = (0..shared.cfg.workers.max(1))
                 .map(|_| s.spawn(|| worker_loop(&queue, &shared)))
                 .collect();
-            let scorer = s.spawn(|| shared.batcher.run_scorer(&shared.registry));
 
             for conn in listener.incoming() {
                 if shared.shutdown.load(Ordering::Acquire) {
@@ -234,14 +231,12 @@ impl BoundServer {
                 }
             }
 
-            // Drain: stop handing out new work, let workers finish what
-            // was accepted, then let the scorer finish the last batch.
+            // Drain: stop handing out new work and let the workers
+            // finish everything already accepted.
             queue.close();
             for w in workers {
                 let _ = w.join();
             }
-            shared.batcher.shutdown();
-            let _ = scorer.join();
         });
     }
 
@@ -303,7 +298,7 @@ impl ServerHandle {
     }
 
     /// Graceful shutdown: stop accepting, serve everything already
-    /// accepted, drain the scorer, join every thread.
+    /// accepted, join every thread.
     pub fn shutdown(self) {
         self.shared.shutdown.store(true, Ordering::Release);
         // Poke the blocking accept() so the loop observes the flag.
@@ -494,31 +489,29 @@ fn handle_predict(req: &Request, shared: &Shared) -> Handled {
     let graph_json = serde_json::to_string(&graph)
         .map_err(|e| ApiError::new(500, "encode_failed", e.to_string()))?;
 
-    // Exact-key lookup against the current version. A body cached under
-    // any version is internally consistent (it was rendered from that
-    // version's weights and says so), and swap clears the cache, so a
-    // hit can only be the current generation.
-    let lookup_key = format!("v{}|{graph_json}", shared.registry.version());
-    if let Some(body) = shared.cache.get(&lookup_key) {
+    // One snapshot serves the whole request: the key, the weights and
+    // the label all name the same `(version, weights)` pair. Swap clears
+    // the cache, so a hit is this generation's body; a miss that races a
+    // swap lands under the old version's key, which no later lookup uses.
+    let snapshot = shared.registry.current();
+    let key = format!("v{}|{graph_json}", snapshot.version);
+    if let Some(body) = shared.cache.get(&key) {
         zt_telemetry::counter_add("serve.cache_hit", 1);
         return Ok((body, vec![("x-zt-cache", "hit")]));
     }
     zt_telemetry::counter_add("serve.cache_miss", 1);
 
-    let rx = shared.batcher.submit(graph);
-    let (pred, version) = rx
-        .recv()
-        .map_err(|_| ApiError::new(500, "scorer_gone", "prediction pipeline shut down"))?;
+    // Inline on this worker's scratch arena; bitwise `predict_batch`.
+    let pred = {
+        let _infer = zt_telemetry::span("serve.infer");
+        snapshot.model.predict(&graph)
+    };
     let body = render(&PredictResponse {
-        model_version: version,
+        model_version: snapshot.version,
         latency_ms: pred.latency_ms,
         throughput: pred.throughput,
     })?;
-    // Insert under the version that actually scored it (a swap may have
-    // landed between lookup and scoring).
-    shared
-        .cache
-        .insert(format!("v{version}|{graph_json}"), body.clone());
+    shared.cache.insert(key, body.clone());
     Ok((body, vec![("x-zt-cache", "miss")]))
 }
 

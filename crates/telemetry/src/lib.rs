@@ -55,7 +55,7 @@ pub mod report;
 pub mod summary;
 
 pub use chrome::{ChromeEvent, ChromeTrace};
-pub use summary::{percentile, Summary};
+pub use summary::{quantile, Summary};
 
 /// Telemetry collection level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -555,7 +555,7 @@ mod tests {
         let h = &snap.histograms["h.route"];
         assert_eq!(h.len(), 3);
         assert_eq!(h.mean(), 2.0);
-        assert_eq!(h.percentile(0.0), 1.0);
-        assert_eq!(h.percentile(100.0), 3.0);
+        assert_eq!(h.quantile(0.0), 1.0);
+        assert_eq!(h.quantile(1.0), 3.0);
     }
 }

@@ -64,7 +64,7 @@ fn hist_row(name: &str, s: &Summary) -> Vec<String> {
         s.len().to_string(),
         stat(s.mean()),
         stat(s.median()),
-        stat(s.percentile(95.0)),
+        stat(s.quantile(0.95)),
         stat(s.min()),
         stat(s.max()),
     ]

@@ -9,15 +9,18 @@
 //! The statistics are defined explicitly on degenerate inputs instead of
 //! relying on fold identities:
 //!
-//! | input          | `mean` | `min`/`max` | `percentile`/`median` | `std` |
-//! |----------------|--------|-------------|-----------------------|-------|
-//! | empty          | NaN    | NaN         | NaN                   | NaN   |
-//! | single sample  | value  | value       | value (any `q`)       | 0.0   |
-//! | constant series| value  | value       | value                 | 0.0 exactly |
+//! | input          | `mean` | `min`/`max` | `quantile`/`median` | `std` |
+//! |----------------|--------|-------------|---------------------|-------|
+//! | empty          | NaN    | NaN         | NaN                 | NaN   |
+//! | single sample  | value  | value       | value (any `q`)     | 0.0   |
+//! | constant series| value  | value       | value               | 0.0 exactly |
 //!
-//! `percentile` clamps `q` to `[0, 100]`, so `p0 = min` and `p100 = max`
+//! `quantile` takes `q ∈ [0, 1]` — the p95 is `quantile(0.95)` — and
+//! panics on any `q` outside it (or NaN) rather than clamping, so a
+//! percent-scale `quantile(95.0)` fails loudly instead of silently
+//! reporting the maximum. `quantile(0) = min` and `quantile(1) = max`
 //! hold exactly, and the result is monotone in `q` (both properties are
-//! proptested below). Samples must be NaN-free; `percentile` panics
+//! proptested below). Samples must be NaN-free; `quantile` panics
 //! otherwise.
 
 /// Accumulator for a stream of f64 samples.
@@ -70,15 +73,15 @@ impl Summary {
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// Percentile via linear interpolation on the sorted sample
-    /// (`q ∈ [0, 100]`, clamped). NaN on an empty summary; the single
-    /// sample for every `q` on a one-element summary.
-    pub fn percentile(&self, q: f64) -> f64 {
-        percentile(&self.values, q)
+    /// Quantile via linear interpolation on the sorted sample
+    /// (`q ∈ [0, 1]`; panics outside it). NaN on an empty summary; the
+    /// single sample for every `q` on a one-element summary.
+    pub fn quantile(&self, q: f64) -> f64 {
+        quantile(&self.values, q)
     }
 
     pub fn median(&self) -> f64 {
-        self.percentile(50.0)
+        self.quantile(0.5)
     }
 
     /// Sample standard deviation (n−1 denominator). NaN on an empty
@@ -114,15 +117,19 @@ impl FromIterator<f64> for Summary {
     }
 }
 
-/// Percentile of a sample with linear interpolation (`q ∈ [0, 100]`,
-/// clamped). Returns NaN on an empty slice; panics on NaN samples.
-pub fn percentile(values: &[f64], q: f64) -> f64 {
+/// Quantile of a sample with linear interpolation (`q ∈ [0, 1]`).
+/// Returns NaN on an empty slice; panics on NaN samples and on `q`
+/// outside `[0, 1]`.
+pub fn quantile(values: &[f64], q: f64) -> f64 {
+    assert!(
+        (0.0..=1.0).contains(&q),
+        "quantile q = {q} is outside [0, 1] (a percentile p is q = p / 100)"
+    );
     if values.is_empty() {
         return f64::NAN;
     }
     let mut sorted: Vec<f64> = values.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs in samples"));
-    let q = q.clamp(0.0, 100.0) / 100.0;
     let pos = q * (sorted.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
@@ -150,12 +157,12 @@ mod tests {
     }
 
     #[test]
-    fn percentile_interpolates() {
+    fn quantile_interpolates() {
         let v = [10.0, 20.0, 30.0, 40.0];
-        assert_eq!(percentile(&v, 0.0), 10.0);
-        assert_eq!(percentile(&v, 100.0), 40.0);
-        assert_eq!(percentile(&v, 50.0), 25.0);
-        assert!((percentile(&v, 95.0) - 38.5).abs() < 1e-9);
+        assert_eq!(quantile(&v, 0.0), 10.0);
+        assert_eq!(quantile(&v, 1.0), 40.0);
+        assert_eq!(quantile(&v, 0.5), 25.0);
+        assert!((quantile(&v, 0.95) - 38.5).abs() < 1e-9);
     }
 
     #[test]
@@ -165,7 +172,7 @@ mod tests {
         assert!(s.mean().is_nan());
         assert!(s.min().is_nan());
         assert!(s.max().is_nan());
-        assert!(s.percentile(50.0).is_nan());
+        assert!(s.quantile(0.5).is_nan());
         assert!(s.median().is_nan());
         assert!(s.std().is_nan());
     }
@@ -177,9 +184,9 @@ mod tests {
         assert_eq!(s.min(), 7.0);
         assert_eq!(s.max(), 7.0);
         assert_eq!(s.median(), 7.0);
-        assert_eq!(s.percentile(0.0), 7.0);
-        assert_eq!(s.percentile(95.0), 7.0);
-        assert_eq!(s.percentile(100.0), 7.0);
+        assert_eq!(s.quantile(0.0), 7.0);
+        assert_eq!(s.quantile(0.95), 7.0);
+        assert_eq!(s.quantile(1.0), 7.0);
         assert_eq!(s.std(), 0.0);
     }
 
@@ -194,10 +201,10 @@ mod tests {
     }
 
     #[test]
-    fn percentile_clamps_out_of_range() {
-        let v = [1.0, 2.0];
-        assert_eq!(percentile(&v, -5.0), 1.0);
-        assert_eq!(percentile(&v, 150.0), 2.0);
+    #[should_panic(expected = "outside [0, 1]")]
+    fn quantile_rejects_percent_scale_q() {
+        let s: Summary = [1.0, 2.0].into_iter().collect();
+        s.quantile(99.0);
     }
 
     /// Deterministic pseudo-random f64 in [-1e3, 1e3) from a splitmix64
@@ -223,21 +230,21 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(128))]
 
             #[test]
-            fn percentile_is_monotone_in_q(seed in 0u64..1024, len in 1usize..48,
-                                           q1 in 0.0f64..100.0, q2 in 0.0f64..100.0) {
+            fn quantile_is_monotone_in_q(seed in 0u64..1024, len in 1usize..48,
+                                         q1 in 0.0f64..1.0, q2 in 0.0f64..1.0) {
                 let s = mix_summary(seed, len);
                 let (lo, hi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
-                let (plo, phi) = (s.percentile(lo), s.percentile(hi));
+                let (plo, phi) = (s.quantile(lo), s.quantile(hi));
                 // tiny tolerance for interpolation round-off between segments
                 prop_assert!(plo <= phi + 1e-9 * phi.abs().max(1.0),
                     "p({lo}) = {plo} > p({hi}) = {phi}");
             }
 
             #[test]
-            fn p0_is_min_and_p100_is_max(seed in 0u64..1024, len in 1usize..48) {
+            fn q0_is_min_and_q1_is_max(seed in 0u64..1024, len in 1usize..48) {
                 let s = mix_summary(seed, len);
-                prop_assert_eq!(s.percentile(0.0), s.min());
-                prop_assert_eq!(s.percentile(100.0), s.max());
+                prop_assert_eq!(s.quantile(0.0), s.min());
+                prop_assert_eq!(s.quantile(1.0), s.max());
             }
 
             #[test]
@@ -248,10 +255,10 @@ mod tests {
             }
 
             #[test]
-            fn percentile_lies_between_min_and_max(seed in 0u64..1024, len in 1usize..48,
-                                                   q in 0.0f64..100.0) {
+            fn quantile_lies_between_min_and_max(seed in 0u64..1024, len in 1usize..48,
+                                                 q in 0.0f64..1.0) {
                 let s = mix_summary(seed, len);
-                let p = s.percentile(q);
+                let p = s.quantile(q);
                 prop_assert!(s.min() <= p && p <= s.max());
             }
         }

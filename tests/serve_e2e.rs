@@ -584,6 +584,116 @@ fn telemetry_counters_sum_exactly_under_concurrency_and_swap() {
     telemetry::reset();
 }
 
+/// The `k`-th distinct deployment of the miss-path test: one of the
+/// three benchmark families at a rate no other `k` uses, with uniform
+/// parallelism 1, 2 or 4.
+fn distinct_deployment(k: usize) -> (LogicalPlan, u32) {
+    let rate = 300.0 + 7.0 * k as f64;
+    let plan = match k % 3 {
+        0 => spike_detection(rate),
+        1 => smart_grid_local(rate),
+        _ => smart_grid_global(rate),
+    };
+    (plan, [1, 2, 4][(k / 3) % 3])
+}
+
+#[test]
+fn concurrent_misses_under_a_swap_match_offline_bitwise() {
+    let _g = lock();
+    telemetry::set_mode(Mode::Summary);
+    telemetry::reset();
+    let handle = boot(ephemeral());
+
+    // Every request is a deployment no other request sends, so each one
+    // takes the full miss path (encode, inline inference, insert) while
+    // the swap lands. Each worker sends 4 requests, meets the others at
+    // the barrier that starts the swap, and keeps going until it has sent
+    // at least two requests after the swap completed (floor 24, cap 2000
+    // each), so both generations are scored concurrently.
+    const THREADS: usize = 4;
+    const CAP: usize = 2000;
+    let addr = handle.addr();
+    let swapped = std::sync::atomic::AtomicBool::new(false);
+    let swapped_ref = &swapped;
+    let start_swap = std::sync::Barrier::new(THREADS + 1);
+    let start_swap_ref = &start_swap;
+    let served: Vec<(usize, String)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|w| {
+                scope.spawn(move || {
+                    let mut served = Vec::new();
+                    let mut post_swap = 0usize;
+                    while (served.len() < 24 || post_swap < 2) && served.len() < CAP {
+                        if served.len() == 4 {
+                            start_swap_ref.wait();
+                        }
+                        if swapped_ref.load(std::sync::atomic::Ordering::Acquire) {
+                            post_swap += 1;
+                        }
+                        let k = w * CAP + served.len();
+                        let (plan, p) = distinct_deployment(k);
+                        let body = deployment_body(&plan, Some(p));
+                        let resp = http_request(addr, "POST", "/predict", Some(&body))
+                            .expect("no dropped connections during swap");
+                        assert_eq!(resp.status, 200, "{}", resp.body);
+                        assert_eq!(resp.header("x-zt-cache"), Some("miss"));
+                        served.push((k, resp.body));
+                    }
+                    served
+                })
+            })
+            .collect();
+
+        start_swap.wait();
+        let resp = http_request(addr, "POST", "/swap", Some(&v2_model().to_json()))
+            .expect("swap round-trip");
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        swapped.store(true, std::sync::atomic::Ordering::Release);
+
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap())
+            .collect()
+    });
+    handle.shutdown();
+
+    let models = [v1_model(), v2_model()];
+    let mut per_version = [0usize; 2];
+    for (k, body) in &served {
+        let version = num(&parse(body), "model_version") as u64;
+        let model = match version {
+            1 | 2 => &models[version as usize - 1],
+            other => panic!("impossible model version {other}"),
+        };
+        per_version[version as usize - 1] += 1;
+        let (plan, p) = distinct_deployment(*k);
+        let pred = offline_predict(model, &plan, Some(p));
+        let expected = serde_json::to_string(&PredictResponse {
+            model_version: version,
+            latency_ms: pred.latency_ms,
+            throughput: pred.throughput,
+        })
+        .expect("render");
+        assert_eq!(body, &expected, "deployment {k} under v{version}");
+    }
+    assert!(per_version[0] > 0 && per_version[1] > 0, "{per_version:?}");
+
+    let snap = telemetry::snapshot();
+    telemetry::set_mode(Mode::Off);
+    telemetry::reset();
+    let issued = served.len() as u64;
+    assert_eq!(
+        snap.counters.get("serve.cache_hit").copied().unwrap_or(0),
+        0
+    );
+    assert_eq!(snap.counters.get("serve.cache_miss").copied(), Some(issued));
+    assert!(
+        snap.span_durations
+            .contains_key("serve.predict/serve.infer"),
+        "inline inference is attributed inside the request span"
+    );
+}
+
 #[test]
 fn graceful_shutdown_drains_every_accepted_connection() {
     let _g = lock();
