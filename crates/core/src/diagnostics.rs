@@ -162,7 +162,7 @@ impl std::fmt::Display for Diagnostic {
 
 /// A collected set of diagnostics with rustc-style rendering.
 #[must_use = "a diagnostics report is inert until rendered, inspected or enforce()d"]
-#[derive(Clone, Default, Debug)]
+#[derive(Clone, Default, Debug, PartialEq)]
 pub struct Report {
     pub diagnostics: Vec<Diagnostic>,
 }
@@ -215,15 +215,25 @@ impl Report {
         )
     }
 
-    /// Abort (panic) with the rendered report when it contains errors;
-    /// print warnings to stderr otherwise. This is the strict-mode
-    /// enforcement entry used by `train`, `tune` and `generate_sample`.
-    pub fn enforce(&self, stage: &str) {
+    /// Strict-mode check: `Err` with the report when it contains errors;
+    /// otherwise print its diagnostics to stderr, prefixed with `stage`.
+    /// `tune` returns the error as `TuneError::Strict`.
+    pub fn into_result(self, stage: &str) -> Result<(), Report> {
         if self.has_errors() {
-            panic!("strict {stage} pre-flight failed:\n{self}");
+            return Err(self);
         }
         for d in &self.diagnostics {
             eprintln!("{stage}: {d}");
+        }
+        Ok(())
+    }
+
+    /// [`Report::into_result`], panicking with the rendered report on
+    /// errors. The strict-mode enforcement entry of `train` and
+    /// `generate_sample`.
+    pub fn enforce(&self, stage: &str) {
+        if let Err(report) = self.clone().into_result(stage) {
+            panic!("strict {stage} pre-flight failed:\n{report}");
         }
     }
 }

@@ -6,23 +6,14 @@
 //! candidate. Exhaustive scoring of the lattice is exponential in the
 //! operator count, so [`branch_and_bound`] walks it as a DFS tree (one
 //! level per operator, children in ascending degree order — lexicographic
-//! leaf order overall) and prunes subtrees with two *sound* certificates:
-//!
-//! 1. **Infeasibility** ([`crate::bounds::WorkFloors::op_util_floor`]) —
-//!    assigning degree `d` to operator `i` already forces the skew-free
-//!    utilization lower bound of *every* completion to ≥ 1. Those leaves
-//!    are provably infeasible, which is exactly the condition
-//!    [`prune_mask`] masks them by, so skipping them cannot change the
-//!    tuner's verdict.
-//! 2. **Incumbent dominance** — once a feasible leaf is known, a subtree
-//!    whose best conceivable completion (latency no lower than the static
-//!    engine floor, throughput no higher than the offered rate) is still
-//!    interval-dominated by the incumbent can only contain candidates
-//!    [`prune_mask`] would discard as dominated. For same-plan parallelism
-//!    candidates this cut rarely fires — every candidate shares
-//!    essentially the same latency floor — and the infeasibility
-//!    certificate does the heavy lifting; the incumbent hook matters once
-//!    placement/heterogeneous floors widen the per-subtree gap.
+//! leaf order overall) and prunes subtrees with one *sound* certificate,
+//! **infeasibility** ([`crate::bounds::WorkFloors::op_util_floor`]):
+//! assigning degree `d` to operator `i` already forces the skew-free
+//! utilization lower bound of *every* completion to ≥ 1. Those leaves are
+//! provably infeasible, which is exactly the condition [`prune_mask`]
+//! masks them by, so skipping them cannot change the tuner's verdict.
+//! There is no dominance cut: every leaf a certificate does not rule out
+//! is analyzed, even when it will later be masked as dominated.
 //!
 //! Every leaf that survives is analyzed exactly
 //! ([`crate::bounds::analyze_with`]) and the final keep decision is the
@@ -36,7 +27,6 @@
 //! everything", so the caller must fall back to exhaustive enumeration
 //! ([`SearchOutcome::feasible_found`] signals this).
 
-use zt_dspsim::analytical::offered_rate;
 use zt_dspsim::cluster::Cluster;
 use zt_query::{LogicalPlan, ParallelQueryPlan, PlanIr};
 
@@ -140,8 +130,6 @@ pub struct SearchStats {
     pub leaves_analyzed: u64,
     /// Subtrees cut by the per-op infeasibility certificate.
     pub subtrees_pruned: u64,
-    /// Subtrees cut by incumbent dominance.
-    pub incumbent_cuts: u64,
     /// Lattice points skipped under pruned subtrees (saturating).
     pub leaves_skipped: u64,
 }
@@ -180,14 +168,6 @@ pub fn branch_and_bound(
     let _span = zt_telemetry::span("tune.bnb");
     let mut probe = ParallelQueryPlan::new(plan.clone());
     let floors = work_floors(&probe, ir, cluster, bcfg);
-
-    // Optimistic completion bounds shared by every subtree: throughput can
-    // never exceed the offered rate, latency never undercuts the external
-    // I/O constant (the per-hop engine floors come on top; the constant
-    // alone keeps the cut sound and parallelism-independent).
-    let offered = offered_rate(plan, ir);
-    let optimistic_latency_lo = bcfg.external_io_ms;
-
     let mut search = Dfs {
         ir,
         cluster,
@@ -195,20 +175,16 @@ pub fn branch_and_bound(
         lattice,
         floors,
         visit_budget,
-        offered,
-        optimistic_latency_lo,
         probe: &mut probe,
         assignment: Vec::with_capacity(lattice.num_ops()),
         analyzed: Vec::new(),
         stats: SearchStats::default(),
-        incumbent: None,
         budget_exhausted: false,
     };
     search.visit(0);
 
     let stats = search.stats;
-    let feasible_found =
-        search.incumbent.is_some() || search.analyzed.iter().any(|(_, r)| !r.infeasible());
+    let feasible_found = search.analyzed.iter().any(|(_, r)| !r.infeasible());
     let outcome = SearchOutcome {
         analyzed: search.analyzed,
         stats,
@@ -218,17 +194,8 @@ pub fn branch_and_bound(
     zt_telemetry::counter_add("tune.bnb.nodes", outcome.stats.nodes_visited);
     zt_telemetry::counter_add("tune.bnb.analyzed", outcome.stats.leaves_analyzed);
     zt_telemetry::counter_add("tune.bnb.subtrees_pruned", outcome.stats.subtrees_pruned);
-    zt_telemetry::counter_add("tune.bnb.incumbent_cuts", outcome.stats.incumbent_cuts);
     zt_telemetry::counter_add("tune.bnb.leaves_skipped", outcome.stats.leaves_skipped);
     outcome
-}
-
-/// Incumbent: the strongest feasible leaf seen so far, kept as the pair of
-/// interval endpoints the dominance test needs.
-#[derive(Clone, Copy)]
-struct Incumbent {
-    latency_hi: f64,
-    throughput_lo: f64,
 }
 
 struct Dfs<'a> {
@@ -238,13 +205,10 @@ struct Dfs<'a> {
     lattice: &'a ParallelismLattice,
     floors: WorkFloors,
     visit_budget: usize,
-    offered: f64,
-    optimistic_latency_lo: f64,
     probe: &'a mut ParallelQueryPlan,
     assignment: Vec<u32>,
     analyzed: Vec<(Vec<u32>, BoundsReport)>,
     stats: SearchStats,
-    incumbent: Option<Incumbent>,
     budget_exhausted: bool,
 }
 
@@ -263,7 +227,7 @@ impl Dfs<'_> {
             let d = self.lattice.degrees[op_idx][di];
             self.stats.nodes_visited += 1;
 
-            // Certificate 1: this degree choice alone proves every
+            // Certificate: this degree choice alone proves every
             // completion infeasible — exactly the condition `prune_mask`
             // masks leaves by, so skipping is outcome-neutral. The floor
             // divides by the *effective* degree (instances beyond the
@@ -276,20 +240,6 @@ impl Dfs<'_> {
                     .leaves_skipped
                     .saturating_add(self.lattice.leaves_below(op_idx));
                 continue;
-            }
-
-            // Certificate 2: the incumbent interval-dominates the best
-            // conceivable completion of this subtree.
-            if let Some(inc) = self.incumbent {
-                if inc.latency_hi < self.optimistic_latency_lo && inc.throughput_lo >= self.offered
-                {
-                    self.stats.incumbent_cuts += 1;
-                    self.stats.leaves_skipped = self
-                        .stats
-                        .leaves_skipped
-                        .saturating_add(self.lattice.leaves_below(op_idx));
-                    continue;
-                }
             }
 
             self.assignment.push(d);
@@ -310,18 +260,6 @@ impl Dfs<'_> {
         self.probe.reset_partitioning();
         let report = analyze_with(self.probe, self.ir, self.cluster, self.bcfg);
         self.stats.leaves_analyzed += 1;
-        if !report.infeasible() {
-            let cand = Incumbent {
-                latency_hi: report.latency_ms.hi,
-                throughput_lo: report.throughput.lo,
-            };
-            let better = self
-                .incumbent
-                .is_none_or(|inc| cand.latency_hi < inc.latency_hi);
-            if better {
-                self.incumbent = Some(cand);
-            }
-        }
         self.analyzed.push((self.assignment.clone(), report));
     }
 }

@@ -21,10 +21,9 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use zt_dspsim::cluster::Cluster;
 use zt_dspsim::ChainingMode;
-use zt_query::{LogicalPlan, ParallelQueryPlan};
+use zt_query::{LogicalPlan, ParallelQueryPlan, PlanError, PlanIr};
 
-use zt_query::{PlanError, PlanIr};
-
+use crate::bounds::{BoundsConfig, BoundsReport};
 use crate::estimator::CostEstimator;
 use crate::features::FeatureMask;
 use crate::graph::EncodeContext;
@@ -39,11 +38,12 @@ pub enum SearchSpace {
     #[default]
     Flat,
     /// The product lattice of per-operator degree sets (derived from the
-    /// flat candidates), explored by bounds-guided branch-and-bound
-    /// ([`crate::lattice::branch_and_bound`]) when pruning is on, or
-    /// scored exhaustively without pruning or on small spaces. Outcome-
-    /// equivalent to exhaustive scoring of the same lattice by
-    /// construction.
+    /// flat candidates). With pruning on, a lattice of more than 32
+    /// points that is not infeasible as a whole is walked by bounds-guided
+    /// branch-and-bound ([`crate::lattice::branch_and_bound`]). Otherwise,
+    /// and when the walk finds no feasible leaf, every point is analyzed
+    /// and masked like the flat list. Either way the winner is the one
+    /// exhaustive scoring of the same lattice picks.
     Lattice {
         /// Cap on the per-operator degree-set size (log-thinned, keeping
         /// the extremes). The lattice has up to `cap^num_ops` points.
@@ -65,8 +65,13 @@ impl SearchSpace {
     }
 }
 
-/// Lattices at or below this size are scored exhaustively even with
-/// pruning on: the search bookkeeping costs more than it saves.
+/// Lattices at or below this size skip the branch-and-bound walk and have
+/// every point analyzed, even with pruning on. The value is not a measured
+/// crossover. It stays because it is observable: on such lattices
+/// `search_visited` counts every point, which
+/// `tests/fixtures/physics_golden.txt` pins (e.g. `grid_global@3000000`:
+/// 27-point lattice, 27 visited), and the benchmark's replay of `tune`
+/// hard-codes the same 32-point threshold.
 const SMALL_LATTICE_CUTOFF: u64 = 32;
 
 /// Structured failures of [`tune`] (degenerate inputs are results, not
@@ -91,6 +96,10 @@ pub enum TuneError {
         /// The configured budget.
         budget: usize,
     },
+    /// Strict mode found `Error`-severity diagnostics: in the pre-flight
+    /// plan and cluster lints, or in the cross-check of the winner
+    /// against its provable brackets.
+    Strict(crate::diagnostics::Report),
 }
 
 impl std::fmt::Display for TuneError {
@@ -109,6 +118,7 @@ impl std::fmt::Display for TuneError {
                 "lattice search budget exhausted: {analyzed} leaves analyzed of {space} \
                  (budget {budget}); shrink max_degrees_per_op or raise visit_budget"
             ),
+            TuneError::Strict(report) => write!(f, "strict tune checks failed:\n{report}"),
         }
     }
 }
@@ -136,9 +146,10 @@ pub struct OptimizerConfig {
     pub chaining: ChainingMode,
     pub mask: FeatureMask,
     pub seed: u64,
-    /// Run the diagnostics pre-flight (plan + cluster lints) and abort on
-    /// `Error`-severity findings. Defaults to the `ZT_STRICT` environment
-    /// variable. Also enables the post-tune bounds cross-check (ZT5xx).
+    /// Run the diagnostics pre-flight (plan + cluster lints) and return
+    /// [`TuneError::Strict`] on `Error`-severity findings. Defaults to the
+    /// `ZT_STRICT` environment variable. Also enables the post-tune bounds
+    /// cross-check (ZT5xx), which fails the same way.
     pub strict: bool,
     /// Drop provably-useless candidates before scoring: the bounds
     /// pre-pass marks candidates that are provably infeasible
@@ -146,9 +157,10 @@ pub struct OptimizerConfig {
     /// candidate is better on both metrics with non-overlapping
     /// intervals). Marked candidates never win the argmin and never feed
     /// Eq. 1's normalization envelope either way, so the chosen plan is
-    /// identical with pruning on or off. On by default; `false` scores
-    /// every candidate, the exhaustive oracle the equivalence tests
-    /// compare against.
+    /// identical with pruning on or off. On by default. `false` analyzes
+    /// and scores every candidate (every lattice point, with no
+    /// branch-and-bound walk) and applies the mask only in the argmin:
+    /// the exhaustive oracle the equivalence tests compare against.
     pub prune: bool,
     /// Cap each operator's lattice degree axis at its key-cardinality
     /// bound (the ZT704 condition): degrees beyond the cap deploy
@@ -305,88 +317,63 @@ fn weighted_cost(wt: f64, lat: f64, tpt: f64, lat_range: (f64, f64), tpt_range: 
     wt * c_l + (1.0 - wt) * c_t
 }
 
-/// Search-space accounting threaded into the final [`TuningOutcome`].
-#[derive(Clone, Copy, Debug, Default)]
-struct SearchCounters {
-    candidates_pruned: usize,
-    search_space: u64,
-    search_visited: u64,
-    search_subtrees_pruned: u64,
+/// The output of a candidate source: the candidates to score in
+/// lexicographic order, their interval reports (empty when no analysis
+/// ran), and the search accounting for the [`TuningOutcome`].
+struct Searched {
+    candidates: Vec<Vec<u32>>,
+    reports: Vec<BoundsReport>,
+    space: u64,
+    subtrees_pruned: u64,
+    capped_ops: usize,
+    points_removed: u64,
 }
 
-/// Tune the parallelism of `plan` on `cluster` using the estimator's
-/// what-if predictions.
-///
-/// Works with any [`CostEstimator`] — the trained GNN, a flat-vector
-/// baseline, or a trait object. Parallelism-independent encoding state
-/// (schemas, topology, resource features) is computed once via
-/// [`EncodeContext`]; per candidate only the parallelism-dependent
-/// features and edges are re-derived, and the whole candidate set is
-/// scored through one [`CostEstimator::predict_batch`] call.
-///
-/// With [`SearchSpace::Lattice`] the candidate set is the product lattice
-/// of per-operator degree choices, explored by bounds-guided
-/// branch-and-bound; the chosen configuration is provably the same one
-/// exhaustive scoring of that lattice would pick (see [`crate::lattice`]).
-///
-/// Degenerate inputs (invalid plan, empty candidate set, exhausted search
-/// budget) return a structured [`TuneError`] instead of panicking.
-pub fn tune<E: CostEstimator + ?Sized>(
-    est: &E,
-    plan: &LogicalPlan,
-    cluster: &Cluster,
-    cfg: &OptimizerConfig,
-) -> Result<TuningOutcome, TuneError> {
-    if cfg.strict {
-        crate::diagnostics::preflight_tune(plan, cluster).enforce("tune");
-    }
-    let _span = zt_telemetry::span("tune");
-    // Seal the logical plan once; every candidate below shares its
-    // topology, so the bounds pre-pass, encoding and cross-check all run
-    // on the same IR without re-validating per candidate.
-    let ir = plan.validate().map_err(TuneError::InvalidPlan)?;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let candidates = {
-        let _s = zt_telemetry::span("tune.enumerate");
-        enumerate_candidates(plan, cluster, cfg, &mut rng)
-    };
-    if candidates.is_empty() {
-        return Err(TuneError::NoCandidates {
-            ops: plan.num_ops(),
-        });
-    }
-    zt_telemetry::counter_add("tune.candidates", candidates.len() as u64);
-
-    match cfg.search {
-        SearchSpace::Flat => {
-            let space = candidates.len() as u64;
-            Ok(tune_over(
-                est, plan, &ir, cluster, cfg, candidates, space, 0,
-            ))
+impl Searched {
+    /// Analyze every candidate of the list. A single candidate has nothing
+    /// to be masked against, so it is not analyzed.
+    fn exhaustive(
+        plan: &LogicalPlan,
+        ir: &PlanIr,
+        cluster: &Cluster,
+        bcfg: &BoundsConfig,
+        candidates: Vec<Vec<u32>>,
+    ) -> Self {
+        let reports = if candidates.len() > 1 {
+            let _s = zt_telemetry::span("tune.bounds");
+            let bound_start = std::time::Instant::now();
+            let mut probe = ParallelQueryPlan::new(plan.clone());
+            let reports = candidates
+                .iter()
+                .map(|cand| {
+                    probe.parallelism.clone_from(cand);
+                    probe.reset_partitioning();
+                    crate::bounds::analyze_with(&probe, ir, cluster, bcfg)
+                })
+                .collect();
+            zt_telemetry::counter_add(
+                "tune.bound_ms",
+                u64::try_from(bound_start.elapsed().as_millis()).unwrap_or(u64::MAX),
+            );
+            reports
+        } else {
+            Vec::new()
+        };
+        Searched {
+            space: candidates.len() as u64,
+            candidates,
+            reports,
+            subtrees_pruned: 0,
+            capped_ops: 0,
+            points_removed: 0,
         }
-        SearchSpace::Lattice {
-            max_degrees_per_op,
-            visit_budget,
-        } => tune_lattice(
-            est,
-            plan,
-            &ir,
-            cluster,
-            cfg,
-            &candidates,
-            max_degrees_per_op,
-            visit_budget,
-        ),
     }
 }
 
-/// [`SearchSpace::Lattice`] driver: derive the lattice from the flat
-/// candidates, then either score it exhaustively (pruning off, tiny
-/// spaces, or a plan-level infeasibility certificate that forces the
-/// all-infeasible keep-everything rule) or run the branch-and-bound walk.
-#[allow(clippy::too_many_arguments)]
-fn tune_lattice<E: CostEstimator + ?Sized>(
-    est: &E,
+/// [`SearchSpace::Lattice`] source: derive the lattice from the flat
+/// candidates, cap it at the key cardinalities, then walk it with
+/// branch-and-bound or, failing that, analyze every point.
+fn search_lattice(
     plan: &LogicalPlan,
     ir: &PlanIr,
     cluster: &Cluster,
@@ -394,7 +381,7 @@ fn tune_lattice<E: CostEstimator + ?Sized>(
     flat_candidates: &[Vec<u32>],
     max_degrees_per_op: usize,
     visit_budget: usize,
-) -> Result<TuningOutcome, TuneError> {
+) -> Result<Searched, TuneError> {
     let mut lattice = ParallelismLattice::from_candidates(flat_candidates, max_degrees_per_op);
     // Key-cardinality capping (the ZT704 condition): along an operator's
     // degree axis, every degree at or beyond `parallelism_cap()` deploys
@@ -405,8 +392,8 @@ fn tune_lattice<E: CostEstimator + ?Sized>(
     // unchanged because the removed points are prediction-identical to
     // their representative and the scorer's strict `<` picks the first
     // (lexicographically smallest) of any tied set either way.
-    let mut dataflow_capped_ops = 0usize;
-    let mut dataflow_points_removed = 0u64;
+    let mut capped_ops = 0usize;
+    let mut points_removed = 0u64;
     if cfg.dataflow_cap {
         let before = lattice.size();
         for (i, op) in plan.ops().iter().enumerate() {
@@ -419,116 +406,145 @@ fn tune_lattice<E: CostEstimator + ?Sized>(
             };
             if degrees.iter().any(|&d| d > rep) {
                 degrees.retain(|&d| d < cap || d == rep);
-                dataflow_capped_ops += 1;
+                capped_ops += 1;
             }
         }
-        dataflow_points_removed = before.saturating_sub(lattice.size());
-        if dataflow_capped_ops > 0 {
-            zt_telemetry::counter_add("tune.dataflow.capped_ops", dataflow_capped_ops as u64);
-            zt_telemetry::counter_add("tune.dataflow.points_removed", dataflow_points_removed);
+        points_removed = before.saturating_sub(lattice.size());
+        if capped_ops > 0 {
+            zt_telemetry::counter_add("tune.dataflow.capped_ops", capped_ops as u64);
+            zt_telemetry::counter_add("tune.dataflow.points_removed", points_removed);
         }
     }
     let space = lattice.size();
-    let bcfg = crate::bounds::BoundsConfig {
+    let bcfg = BoundsConfig {
         chaining: cfg.chaining,
-        ..crate::bounds::BoundsConfig::default()
+        ..BoundsConfig::default()
     };
-    let exhaust = |err_analyzed: u64| -> Result<Vec<Vec<u32>>, TuneError> {
-        if space > visit_budget as u64 {
-            return Err(TuneError::SearchBudgetExceeded {
-                analyzed: err_analyzed,
-                space,
-                budget: visit_budget,
-            });
-        }
-        Ok(lattice.enumerate())
+    let over_budget = |analyzed| TuneError::SearchBudgetExceeded {
+        analyzed,
+        space,
+        budget: visit_budget,
     };
 
     // Whole-lattice infeasibility certificate: when even the
     // parallelism-independent work floor exceeds the cluster's aggregate
     // capacity, every lattice point is infeasible, prune_mask keeps all of
-    // them, and a search could not skip anything — score exhaustively.
-    let probe = ParallelQueryPlan::new(plan.clone());
-    let all_infeasible =
-        crate::bounds::work_floors(&probe, ir, cluster, &bcfg).plan_util_floor() >= 1.0;
-
-    let stamp = |mut out: TuningOutcome| {
-        out.dataflow_capped_ops = dataflow_capped_ops;
-        out.dataflow_points_removed = dataflow_points_removed;
-        out
+    // them, and a walk could not skip anything.
+    let all_infeasible = || {
+        let probe = ParallelQueryPlan::new(plan.clone());
+        crate::bounds::work_floors(&probe, ir, cluster, &bcfg).plan_util_floor() >= 1.0
     };
-
-    if !cfg.prune || space <= SMALL_LATTICE_CUTOFF || all_infeasible {
-        let cands = exhaust(0)?;
-        return Ok(stamp(tune_over(
-            est, plan, ir, cluster, cfg, cands, space, 0,
-        )));
+    let mut analyzed = 0;
+    if cfg.prune && space > SMALL_LATTICE_CUTOFF && !all_infeasible() {
+        let search =
+            crate::lattice::branch_and_bound(plan, ir, cluster, &bcfg, &lattice, visit_budget);
+        analyzed = search.stats.leaves_analyzed;
+        if search.budget_exhausted {
+            return Err(over_budget(analyzed));
+        }
+        if search.feasible_found {
+            // Every skipped leaf is one prune_mask would mask, so masking
+            // the analyzed set keeps the same survivors exhaustive scoring
+            // would (see `crate::lattice`).
+            let (candidates, reports) = search.analyzed.into_iter().unzip();
+            return Ok(Searched {
+                candidates,
+                reports,
+                space,
+                subtrees_pruned: search.stats.subtrees_pruned,
+                capped_ops,
+                points_removed,
+            });
+        }
+        // No feasible leaf: the certificate-skipped leaves are infeasible
+        // too, so prune_mask keeps the whole lattice. Score all of it.
     }
-
-    let search = crate::lattice::branch_and_bound(plan, ir, cluster, &bcfg, &lattice, visit_budget);
-    if search.budget_exhausted {
-        return Err(TuneError::SearchBudgetExceeded {
-            analyzed: search.stats.leaves_analyzed,
-            space,
-            budget: visit_budget,
-        });
+    if space > visit_budget as u64 {
+        return Err(over_budget(analyzed));
     }
-    if !search.feasible_found {
-        // Certificate-pruned leaves are infeasible too, so the whole
-        // lattice is: replicate prune_mask's keep-everything rule.
-        let cands = exhaust(search.stats.leaves_analyzed)?;
-        return Ok(stamp(tune_over(
-            est, plan, ir, cluster, cfg, cands, space, 0,
-        )));
-    }
-
-    // Final exact keep decision over the analyzed set — provably the same
-    // survivors exhaustive scoring would keep (see `crate::lattice`).
-    let (cands, reports): (Vec<Vec<u32>>, Vec<crate::bounds::BoundsReport>) =
-        search.analyzed.into_iter().unzip();
-    let keep = crate::bounds::prune_mask(&reports);
-    let survivors: Vec<Vec<u32>> = cands
-        .into_iter()
-        .zip(&keep)
-        .filter_map(|(c, &k)| k.then_some(c))
-        .collect();
-    let candidates_pruned =
-        usize::try_from(space.saturating_sub(survivors.len() as u64)).unwrap_or(usize::MAX);
-    zt_telemetry::counter_add("tune.pruned", candidates_pruned as u64);
-    let n_survivors = survivors.len();
-    let counters = SearchCounters {
-        candidates_pruned,
-        search_space: space,
-        search_visited: search.stats.leaves_analyzed,
-        search_subtrees_pruned: search.stats.subtrees_pruned + search.stats.incumbent_cuts,
-    };
-    Ok(stamp(score_and_pick(
-        est,
-        plan,
-        ir,
-        cluster,
-        cfg,
-        survivors,
-        vec![true; n_survivors],
-        counters,
-    )))
+    Ok(Searched {
+        capped_ops,
+        points_removed,
+        ..Searched::exhaustive(plan, ir, cluster, &bcfg, lattice.enumerate())
+    })
 }
 
-/// Run the bounds pre-pass over an explicit candidate list, then score it.
-/// This is the historical flat-search body; the lattice paths reuse it for
-/// exhaustive scoring.
-#[allow(clippy::too_many_arguments)]
-fn tune_over<E: CostEstimator + ?Sized>(
+/// Tune the parallelism of `plan` on `cluster` using the estimator's
+/// what-if predictions.
+///
+/// One pipeline: a candidate source (the flat list, or the parallelism
+/// lattice), the bounds mask, then scoring. Works with any
+/// [`CostEstimator`] — the trained GNN, a flat-vector baseline, or a
+/// trait object. Parallelism-independent encoding state (schemas,
+/// topology, resource features) is computed once via [`EncodeContext`];
+/// per candidate only the parallelism-dependent features and edges are
+/// re-derived, and the whole candidate set is scored through one
+/// [`CostEstimator::predict_batch`] call.
+///
+/// With [`SearchSpace::Lattice`] the candidate set is the product lattice
+/// of per-operator degree choices, explored by bounds-guided
+/// branch-and-bound; the chosen configuration is provably the same one
+/// exhaustive scoring of that lattice would pick (see [`crate::lattice`]).
+///
+/// Degenerate inputs (invalid plan, empty candidate set, exhausted search
+/// budget, strict-mode findings) return a structured [`TuneError`]
+/// instead of panicking.
+pub fn tune<E: CostEstimator + ?Sized>(
     est: &E,
     plan: &LogicalPlan,
-    ir: &PlanIr,
     cluster: &Cluster,
     cfg: &OptimizerConfig,
-    mut candidates: Vec<Vec<u32>>,
-    search_space: u64,
-    search_subtrees_pruned: u64,
-) -> TuningOutcome {
-    // Bounds pre-pass: the interval analysis marks candidates that are
+) -> Result<TuningOutcome, TuneError> {
+    if cfg.strict {
+        crate::diagnostics::preflight_tune(plan, cluster)
+            .into_result("tune")
+            .map_err(TuneError::Strict)?;
+    }
+    let _span = zt_telemetry::span("tune");
+    // Seal the logical plan once; every candidate below shares its
+    // topology, so the bounds analysis, encoding and cross-check all run
+    // on the same IR without re-validating per candidate.
+    let ir = plan.validate().map_err(TuneError::InvalidPlan)?;
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let flat_candidates = {
+        let _s = zt_telemetry::span("tune.enumerate");
+        enumerate_candidates(plan, cluster, cfg, &mut rng)
+    };
+    if flat_candidates.is_empty() {
+        return Err(TuneError::NoCandidates {
+            ops: plan.num_ops(),
+        });
+    }
+    zt_telemetry::counter_add("tune.candidates", flat_candidates.len() as u64);
+    let bcfg = BoundsConfig {
+        chaining: cfg.chaining,
+        ..BoundsConfig::default()
+    };
+
+    let Searched {
+        mut candidates,
+        reports,
+        space,
+        subtrees_pruned,
+        capped_ops,
+        points_removed,
+    } = match cfg.search {
+        SearchSpace::Flat => Searched::exhaustive(plan, &ir, cluster, &bcfg, flat_candidates),
+        SearchSpace::Lattice {
+            max_degrees_per_op,
+            visit_budget,
+        } => search_lattice(
+            plan,
+            &ir,
+            cluster,
+            cfg,
+            &flat_candidates,
+            max_degrees_per_op,
+            visit_budget,
+        )?,
+    };
+
+    // Bounds mask: the interval analysis marks candidates that are
     // provably infeasible or dominated. Marked candidates never win the
     // argmin and never contribute to Eq. 1's normalization envelope —
     // regardless of `cfg.prune` — so the verdict below is *identical*
@@ -536,70 +552,28 @@ fn tune_over<E: CostEstimator + ?Sized>(
     // whether marked candidates are dropped before encoding/inference
     // (the default, saving the model evaluations) or still scored
     // (useful when inspecting predictions for the full candidate set).
-    let mut candidates_pruned = 0usize;
-    let mut search_visited = 0u64;
-    let keep: Vec<bool> = if candidates.len() > 1 {
-        let _s = zt_telemetry::span("tune.bounds");
-        let bound_start = std::time::Instant::now();
-        let bcfg = crate::bounds::BoundsConfig {
-            chaining: cfg.chaining,
-            ..crate::bounds::BoundsConfig::default()
-        };
-        let mut probe = ParallelQueryPlan::new(plan.clone());
-        let reports: Vec<_> = candidates
-            .iter()
-            .map(|cand| {
-                probe.parallelism.clone_from(cand);
-                probe.reset_partitioning();
-                crate::bounds::analyze_with(&probe, ir, cluster, &bcfg)
-            })
-            .collect();
-        search_visited = reports.len() as u64;
-        let keep = crate::bounds::prune_mask(&reports);
-        if cfg.prune {
-            let mut it = keep.iter();
-            candidates.retain(|_| *it.next().expect("mask aligned with candidates"));
-            candidates_pruned = keep.iter().filter(|&&k| !k).count();
-            zt_telemetry::counter_add("tune.pruned", candidates_pruned as u64);
-        }
-        zt_telemetry::counter_add(
-            "tune.bound_ms",
-            u64::try_from(bound_start.elapsed().as_millis()).unwrap_or(u64::MAX),
-        );
-        if cfg.prune {
-            vec![true; candidates.len()]
-        } else {
-            keep
-        }
-    } else {
+    // The reports are dropped before encoding to keep peak memory down.
+    let search_visited = reports.len() as u64;
+    let mut keep = if reports.is_empty() {
         vec![true; candidates.len()]
+    } else {
+        crate::bounds::prune_mask(&reports)
     };
-    let counters = SearchCounters {
-        candidates_pruned,
-        search_space,
-        search_visited,
-        search_subtrees_pruned,
-    };
-    score_and_pick(est, plan, ir, cluster, cfg, candidates, keep, counters)
-}
+    drop(reports);
+    let mut candidates_pruned = 0usize;
+    if cfg.prune {
+        let mut it = keep.iter();
+        candidates.retain(|_| *it.next().expect("mask aligned with candidates"));
+        keep.retain(|&k| k);
+        candidates_pruned =
+            usize::try_from(space.saturating_sub(candidates.len() as u64)).unwrap_or(usize::MAX);
+        zt_telemetry::counter_add("tune.pruned", candidates_pruned as u64);
+    }
 
-/// Encode, batch-predict and argmin over a candidate set whose keep mask
-/// is already decided; runs the strict cross-check on the winner.
-#[allow(clippy::too_many_arguments)]
-fn score_and_pick<E: CostEstimator + ?Sized>(
-    est: &E,
-    plan: &LogicalPlan,
-    ir: &PlanIr,
-    cluster: &Cluster,
-    cfg: &OptimizerConfig,
-    candidates: Vec<Vec<u32>>,
-    keep: Vec<bool>,
-    counters: SearchCounters,
-) -> TuningOutcome {
     // Encode every candidate against the shared context, reusing one
     // mutable PQP (partitioning depends on the parallelism vector, so it
     // must be re-derived after each mutation).
-    let ctx = EncodeContext::with_ir(plan, ir, cluster, &cfg.mask);
+    let ctx = EncodeContext::with_ir(plan, &ir, cluster, &cfg.mask);
     let mut pqp = ParallelQueryPlan::new(plan.clone());
     let graphs: Vec<_> = {
         let _s = zt_telemetry::span("tune.encode");
@@ -608,7 +582,7 @@ fn score_and_pick<E: CostEstimator + ?Sized>(
             .map(|cand| {
                 pqp.parallelism.clone_from(cand);
                 pqp.reset_partitioning();
-                ctx.encode_sealed(&pqp, ir, cluster, cfg.chaining)
+                ctx.encode_sealed(&pqp, &ir, cluster, cfg.chaining)
             })
             .collect()
     };
@@ -658,12 +632,8 @@ fn score_and_pick<E: CostEstimator + ?Sized>(
     // infeasible when *every* candidate is.
     if cfg.strict {
         let _s = zt_telemetry::span("tune.crosscheck");
-        let bcfg = crate::bounds::BoundsConfig {
-            chaining: cfg.chaining,
-            ..crate::bounds::BoundsConfig::default()
-        };
         let chosen = ParallelQueryPlan::with_parallelism(plan.clone(), candidates[best].clone());
-        let report = crate::bounds::analyze_with(&chosen, ir, cluster, &bcfg);
+        let report = crate::bounds::analyze_with(&chosen, &ir, cluster, &bcfg);
         let mut diags = crate::diagnostics::lint_bounds_report(&report);
         for d in &mut diags {
             if d.code == "ZT503" {
@@ -683,22 +653,24 @@ fn score_and_pick<E: CostEstimator + ?Sized>(
             diags.extend(cert.check_prediction_denorm(depth, &predictions[best]));
             diags.extend(cert.lint_certificate_bounds(depth, &report));
         }
-        crate::diagnostics::Report::new(diags).enforce("tune bounds cross-check");
+        crate::diagnostics::Report::new(diags)
+            .into_result("tune bounds cross-check")
+            .map_err(TuneError::Strict)?;
     }
 
-    TuningOutcome {
+    Ok(TuningOutcome {
         parallelism: candidates[best].clone(),
         predicted_latency_ms: predictions[best].latency_ms,
         predicted_throughput: predictions[best].throughput,
         weighted_cost: best_cost,
         candidates_evaluated: candidates.len(),
-        candidates_pruned: counters.candidates_pruned,
-        search_space: counters.search_space,
-        search_visited: counters.search_visited,
-        search_subtrees_pruned: counters.search_subtrees_pruned,
-        dataflow_capped_ops: 0,
-        dataflow_points_removed: 0,
-    }
+        candidates_pruned,
+        search_space: space,
+        search_visited,
+        search_subtrees_pruned: subtrees_pruned,
+        dataflow_capped_ops: capped_ops,
+        dataflow_points_removed: points_removed,
+    })
 }
 
 /// Weighted cost of *measured* metrics against reference envelopes —

@@ -53,7 +53,7 @@ struct SearchMode {
     candidates_per_sec: f64,
     /// Leaves actually run through the interval analysis.
     visited: u64,
-    /// Subtrees cut by infeasibility certificates or incumbent dominance.
+    /// Subtrees cut by the per-operator infeasibility certificate.
     subtrees_pruned: u64,
     parallelism: Vec<u32>,
 }

@@ -121,6 +121,9 @@ fn assert_brackets_solver(pqp: &ParallelQueryPlan, cluster: &Cluster) -> Result<
     let report = analyze(pqp, cluster, &BoundsConfig::default());
     let m = simulate_core(pqp, cluster, &SimConfig::noiseless());
     prop_assert!(report.is_wellformed(), "malformed report: {report:?}");
+    // The latency bracket never undercuts the external I/O constant: the
+    // steady-state latency is path + external I/O + ingest, all >= 0.
+    prop_assert!(report.latency_ms.lo >= BoundsConfig::default().external_io_ms);
 
     // Shared transfer functions ⇒ exact endpoints, not just containment.
     prop_assert_eq!(report.utilization.hi, m.bottleneck_utilization);

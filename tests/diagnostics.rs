@@ -16,7 +16,7 @@ use zerotune::core::optisample::EnumerationStrategy;
 use zerotune::core::train::{train, TrainConfig};
 use zerotune::core::{
     generate_dataset, tune, Dataset, GenConfig, ModelConfig, OptimizerConfig, TargetNorm,
-    ZeroTuneModel,
+    TuneError, ZeroTuneModel,
 };
 use zerotune::dspsim::cluster::{Cluster, ClusterType};
 use zerotune::query::benchmarks::spike_detection;
@@ -570,7 +570,6 @@ fn strict_train_rejects_nan_label() {
 }
 
 #[test]
-#[should_panic(expected = "ZT103")]
 fn strict_tune_rejects_slide_beyond_length() {
     let mut p = LogicalPlan::new("bad-window");
     let s = p.add(OperatorKind::Source(SourceOp {
@@ -598,7 +597,10 @@ fn strict_tune_rejects_slide_beyond_length() {
         strict: true,
         ..OptimizerConfig::default()
     };
-    let _ = tune(&model, &p, &cluster(), &cfg).expect("valid plan");
+    match tune(&model, &p, &cluster(), &cfg).expect_err("strict pre-flight must reject") {
+        TuneError::Strict(report) => assert!(report.has_code("ZT103"), "{report}"),
+        other => panic!("expected TuneError::Strict, got {other:?}"),
+    }
 }
 
 #[test]

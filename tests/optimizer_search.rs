@@ -4,7 +4,7 @@
 //! or scores the lattice exhaustively — outcome equivalence is the load-
 //! bearing invariant, speed is only allowed on top of it.
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! * **winner equivalence** — proptest over generator-seeded plans of
 //!   every structure class: B&B and exhaustive scoring agree on the chosen
@@ -13,6 +13,9 @@
 //! * **pruning soundness** — the exhaustive winner is always *in* the
 //!   branch-and-bound analyzed set (no pruned subtree can contain the
 //!   argmin), checked against `branch_and_bound` directly;
+//! * **no-feasible-leaf fallback** — when the walk's certificates cut
+//!   every leaf, `tune` scores the whole lattice and matches the
+//!   exhaustive winner;
 //! * **error contract** — degenerate inputs return structured
 //!   [`TuneError`]s (invalid plan, exhausted search budget) instead of
 //!   panicking, with stable `Display` text.
@@ -197,4 +200,94 @@ fn tune_with_tiny_budget_reports_budget_exhaustion() {
     }
     let msg = err.to_string();
     assert!(msg.contains("budget"), "unexpected message: {msg}");
+}
+
+// ---------------------------------------------------------------------
+// Branch-and-bound fallback: no feasible leaf.
+// ---------------------------------------------------------------------
+
+/// A keyed aggregate over a single key runs on one effective instance at
+/// any degree, and at 4M ev/s that instance is provably saturated, so the
+/// infeasibility certificate cuts every subtree below it and the walk
+/// finds no feasible leaf. The whole plan still fits the cluster, so the
+/// walk does run. `tune` must then fall back to analyzing the whole
+/// lattice, exactly as it does with pruning off.
+#[test]
+fn bnb_without_a_feasible_leaf_falls_back_to_the_whole_lattice() {
+    use zerotune::core::bounds::{work_floors, BoundsConfig};
+    use zerotune::query::operators::{
+        AggFunction, AggregateOp, FilterFunction, FilterOp, SinkOp, SourceOp, WindowPolicy,
+        WindowSpec,
+    };
+    use zerotune::query::{DataType, OperatorKind, ParallelQueryPlan, TupleSchema};
+
+    let mut plan = LogicalPlan::new("single-key-aggregate");
+    let s = plan.add(OperatorKind::Source(SourceOp {
+        event_rate: 4_000_000.0,
+        schema: TupleSchema::uniform(DataType::Int, 3),
+        key_cardinality: None,
+    }));
+    let f = plan.add(OperatorKind::Filter(FilterOp {
+        function: FilterFunction::Gt,
+        literal_class: DataType::Int,
+        selectivity: 0.8,
+    }));
+    let a = plan.add(OperatorKind::Aggregate(AggregateOp {
+        function: AggFunction::Avg,
+        key_class: Some(DataType::Int),
+        agg_class: DataType::Int,
+        window: WindowSpec::tumbling(WindowPolicy::Time, 1_000.0),
+        selectivity: 1.0,
+        key_cardinality: Some(1.0),
+    }));
+    let k = plan.add(OperatorKind::Sink(SinkOp));
+    plan.connect(s, f);
+    plan.connect(f, a);
+    plan.connect(a, k);
+    let cluster = Cluster::homogeneous(ClusterType::M510, 4, 10.0);
+    let cfg = |prune: bool| OptimizerConfig {
+        strict: false,
+        prune,
+        search: SearchSpace::lattice(),
+        ..OptimizerConfig::default()
+    };
+
+    let ir = plan.validate().expect("valid plan");
+    let bcfg = BoundsConfig::default();
+    let floors = work_floors(&ParallelQueryPlan::new(plan.clone()), &ir, &cluster, &bcfg);
+    assert!(
+        floors.plan_util_floor() < 1.0,
+        "the walk must not be skipped"
+    );
+    assert!(
+        floors.op_util_floor(2, 1) >= 1.0,
+        "one key saturates one instance"
+    );
+
+    let mut rng = StdRng::seed_from_u64(cfg(true).seed);
+    let flat = enumerate_candidates(&plan, &cluster, &cfg(true), &mut rng);
+    let mut lattice = ParallelismLattice::from_candidates(&flat, 4);
+    // The key-cardinality cap keeps only the aggregate's smallest degree.
+    lattice.degrees[2].truncate(1);
+    let search = branch_and_bound(&plan, &ir, &cluster, &bcfg, &lattice, 100_000);
+    assert!(!search.budget_exhausted);
+    assert!(!search.feasible_found);
+    assert_eq!(search.stats.leaves_analyzed, 0);
+
+    let model = ZeroTuneModel::new(ModelConfig { hidden: 8, seed: 1 });
+    let on = tune(&model, &plan, &cluster, &cfg(true)).expect("valid plan");
+    let off = tune(&model, &plan, &cluster, &cfg(false)).expect("valid plan");
+    assert_eq!(on.search_space, lattice.size());
+    assert!(on.search_space > 32, "the walk must run");
+    assert_eq!(on.parallelism, off.parallelism);
+    assert_eq!(
+        on.predicted_latency_ms.to_bits(),
+        off.predicted_latency_ms.to_bits()
+    );
+    assert_eq!(
+        on.predicted_throughput.to_bits(),
+        off.predicted_throughput.to_bits()
+    );
+    assert_eq!(on.search_visited, on.search_space);
+    assert_eq!(on.search_subtrees_pruned, 0);
 }
