@@ -12,7 +12,7 @@ use zt_core::dataset::Dataset;
 use zt_core::graph::GraphEncoding;
 use zt_core::model::TargetNorm;
 use zt_nn::optim::clip_grad_norm;
-use zt_nn::{Adam, Matrix, Mlp, Optimizer, ParamStore, Scratch, Tape};
+use zt_nn::{Adam, Mlp, Optimizer, ParamStore, Scratch, Tape};
 
 use crate::flat::{flatten, FLAT_DIM};
 
@@ -61,22 +61,21 @@ impl FlatMlp {
             input_mean[d] = mean as f32;
             input_std[d] = (var.sqrt().max(1e-6)) as f32;
         }
-        let standardize = |f: &[f64; FLAT_DIM]| {
-            let z: Vec<f32> = f
-                .iter()
+        let standardize = |f: &[f64; FLAT_DIM]| -> Vec<f32> {
+            f.iter()
                 .enumerate()
                 .map(|(d, &v)| ((v as f32) - input_mean[d]) / input_std[d])
-                .collect();
-            Matrix::row(&z)
+                .collect()
         };
-        let inputs: Vec<Matrix> = raw.iter().map(standardize).collect();
-        let targets: Vec<Matrix> = data
+        let inputs: Vec<Vec<f32>> = raw.iter().map(standardize).collect();
+        let targets: Vec<[f32; 2]> = data
             .samples
             .iter()
-            .map(|s| Matrix::row(&norm.normalize(s.latency_ms, s.throughput)))
+            .map(|s| norm.normalize(s.latency_ms, s.throughput))
             .collect();
 
         let mut opt = Adam::new(lr);
+        let mut tape = Tape::new();
         let mut order: Vec<usize> = (0..data.len()).collect();
         for _ in 0..epochs {
             for i in (1..order.len()).rev() {
@@ -86,10 +85,10 @@ impl FlatMlp {
             for batch in order.chunks(16) {
                 store.zero_grad();
                 for &i in batch {
-                    let mut tape = Tape::new();
-                    let x = tape.leaf(inputs[i].clone());
+                    tape.clear();
+                    let x = tape.leaf_row(&inputs[i]);
                     let out = mlp.forward(&mut tape, &store, x);
-                    let t = tape.leaf(targets[i].clone());
+                    let t = tape.leaf_row(&targets[i]);
                     let loss = tape.mse_loss(out, t);
                     tape.backward(loss, &mut store);
                 }
@@ -106,6 +105,11 @@ impl FlatMlp {
             input_mean,
             input_std,
         }
+    }
+
+    /// The trained weights.
+    pub fn store(&self) -> &ParamStore {
+        &self.store
     }
 
     /// Predict `(latency_ms, throughput)` via the tapeless forward pass.
@@ -137,6 +141,7 @@ mod tests {
     use crate::linreg::LinearRegression;
     use zt_core::dataset::{generate_dataset, GenConfig};
     use zt_core::qerror::QErrorStats;
+    use zt_nn::Matrix;
 
     fn qerr(pairs: impl Iterator<Item = (f64, f64)>) -> QErrorStats {
         QErrorStats::from_pairs(pairs)

@@ -243,7 +243,7 @@ impl ZeroTuneModel {
         // Step ②: encode every node with its type's MLP.
         let mut h: Vec<Var> = Vec::with_capacity(n);
         for node in &graph.nodes {
-            let x = tape.leaf(zt_nn::Matrix::row(&node.features));
+            let x = tape.leaf_row(&node.features);
             let enc = &self.encoders[kind_index(node.kind)];
             debug_assert_eq!(enc.in_dim(), node.features.len());
             let e = enc.forward(tape, &self.store, x);

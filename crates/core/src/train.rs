@@ -7,7 +7,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use zt_nn::optim::clip_grad_norm;
-use zt_nn::{Adam, Matrix, Optimizer, Tape};
+use zt_nn::tape::mse;
+use zt_nn::{Adam, Optimizer, Scratch, Tape};
 
 use crate::dataset::{Dataset, Sample};
 use crate::estimator::CostEstimator;
@@ -69,20 +70,23 @@ pub struct TrainReport {
 fn sample_loss(model: &ZeroTuneModel, tape: &mut Tape, sample: &Sample) -> zt_nn::Var {
     let out = model.forward(tape, &sample.graph);
     let target = model.norm.normalize(sample.latency_ms, sample.throughput);
-    let t = tape.leaf(Matrix::row(&target));
+    let t = tape.leaf_row(&target);
     tape.mse_loss(out, t)
 }
 
-/// Mean loss over samples without touching gradients.
+/// Mean loss over samples without touching gradients: the tapeless
+/// forward pass and the tape's own MSE formula, so each term equals the
+/// taped loss bit for bit.
 fn eval_loss(model: &ZeroTuneModel, samples: &[&Sample]) -> f64 {
     if samples.is_empty() {
         return f64::NAN;
     }
+    let mut scratch = Scratch::new();
     let mut total = 0f64;
     for s in samples {
-        let mut tape = Tape::new();
-        let loss = sample_loss(model, &mut tape, s);
-        total += tape.scalar_value(loss) as f64;
+        let pred = model.forward_infer(&s.graph, &mut scratch);
+        let target = model.norm.normalize(s.latency_ms, s.throughput);
+        total += mse(&pred, &target) as f64;
     }
     total / samples.len() as f64
 }
@@ -123,6 +127,8 @@ pub fn train(model: &mut ZeroTuneModel, data: &Dataset, cfg: &TrainConfig) -> Tr
     };
     let mut best_weights = model.store.clone();
     let mut since_best = 0usize;
+    // One tape for the whole run: `clear` keeps its buffers warm.
+    let mut tape = Tape::new();
 
     for epoch in 0..cfg.epochs {
         let _epoch_span = zt_telemetry::span_arg("train.epoch", || epoch.to_string());
@@ -139,7 +145,7 @@ pub fn train(model: &mut ZeroTuneModel, data: &Dataset, cfg: &TrainConfig) -> Tr
             let mut batch_loss = 0f64;
             for &i in batch {
                 let sample = &data.samples[i];
-                let mut tape = Tape::new();
+                tape.clear();
                 let loss = sample_loss(model, &mut tape, sample);
                 batch_loss += tape.scalar_value(loss) as f64;
                 tape.backward(loss, &mut model.store);
@@ -315,6 +321,37 @@ mod tests {
             &before,
             "masked parameter changed"
         );
+    }
+
+    #[test]
+    fn tapeless_validation_loss_matches_taped_loss_bitwise() {
+        let data = generate_dataset(&GenConfig::seen(), 24, 16);
+        let mut model = ZeroTuneModel::new(ModelConfig {
+            hidden: 16,
+            seed: 7,
+        });
+        model.norm = TargetNorm::fit(data.labels());
+        // train briefly so the weights are not the symmetric init
+        train(
+            &mut model,
+            &data,
+            &TrainConfig {
+                epochs: 1,
+                ..quick_cfg()
+            },
+        );
+        let samples: Vec<&Sample> = data.samples.iter().collect();
+        let mut tape = Tape::new();
+        let mut taped_total = 0f64;
+        for s in &samples {
+            tape.clear();
+            let loss = sample_loss(&model, &mut tape, s);
+            let taped = f64::from(tape.scalar_value(loss));
+            assert_eq!(eval_loss(&model, &[s]).to_bits(), taped.to_bits());
+            taped_total += taped;
+        }
+        let taped_mean = taped_total / samples.len() as f64;
+        assert_eq!(eval_loss(&model, &samples).to_bits(), taped_mean.to_bits());
     }
 
     #[test]

@@ -160,6 +160,43 @@ mod tests {
     }
 
     #[test]
+    fn param_matmul_add_row_oracle_gradients_match() {
+        // The general composition the fused `Tape::linear` is tested
+        // against, on a multi-row input.
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut store = ParamStore::new();
+        let mlp = Mlp::new(&mut store, "m", &[3, 6, 2], &mut rng);
+        let x = Matrix::from_vec(2, 3, vec![0.4, -1.1, 0.8, 0.0, 0.6, -0.3]);
+        let y = Matrix::from_vec(2, 2, vec![0.2, -0.5, 1.0, 0.3]);
+
+        let report = check_gradients(
+            &mut store,
+            |tape, store| {
+                let mut h = tape.leaf(x.clone());
+                for (i, layer) in mlp.layers.iter().enumerate() {
+                    let w = tape.param(store, layer.w);
+                    let b = tape.param(store, layer.b);
+                    let xw = tape.matmul(h, w);
+                    h = tape.add_row(xw, b);
+                    if i == 0 {
+                        h = tape.relu(h);
+                    }
+                }
+                let target = tape.leaf(y.clone());
+                tape.mse_loss(h, target)
+            },
+            1e-2,
+            16,
+        );
+        assert!(report.checked > 10, "too few coordinates checked");
+        assert!(
+            report.max_rel_error < 0.03,
+            "gradient mismatch: {}",
+            report.max_rel_error
+        );
+    }
+
+    #[test]
     fn composite_ops_gradients_match() {
         // Exercise concat, mean, tanh and weighted sum in one graph.
         let mut rng = StdRng::seed_from_u64(11);

@@ -2,10 +2,10 @@
 //! values, with no autodiff bookkeeping.
 //!
 //! Training needs the [`crate::tape::Tape`] — every intermediate value has
-//! to stay alive for the backward pass, and every parameter use records a
-//! node (cloning the weight matrix onto the tape). Inference needs none of
-//! that: what-if cost prediction in the optimizer issues hundreds of
-//! forward passes per tuning call and throws every intermediate away.
+//! to stay alive for the backward pass, and every layer use records a
+//! node. Inference needs none of that: what-if cost prediction in the
+//! optimizer issues hundreds of forward passes per tuning call and throws
+//! every intermediate away.
 //!
 //! [`Scratch`] is a reusable buffer arena: matrices are taken from a free
 //! list and recycled after use, so a warmed-up scratch performs a whole
@@ -68,7 +68,7 @@ impl Scratch {
 
     /// An empty-data buffer with the given logical shape (callers fill
     /// `data` to `rows * cols` themselves).
-    fn take(&mut self, rows: usize, cols: usize) -> Matrix {
+    pub(crate) fn take(&mut self, rows: usize, cols: usize) -> Matrix {
         match self.free.pop() {
             Some(mut m) => {
                 m.rows = rows;

@@ -1,7 +1,8 @@
 //! Dense `f32` hot-path kernels, each in two always-compiled flavors.
 //!
-//! Every inner loop that dominates training/inference time — matmul, ReLU,
-//! element-wise add, the Adam update — lives here as a pair:
+//! Every inner loop that dominates training/inference time — matmul, the
+//! transposed-operand matmul of the backward pass, ReLU, element-wise add,
+//! the Adam update — lives here as a pair:
 //!
 //! * `*_scalar` — the original straight-line loop, kept verbatim as the
 //!   **test oracle** (the "slow twin");
@@ -12,10 +13,10 @@
 //!   `[f32; LANES]` blocks, which LLVM reliably turns into vector code on
 //!   stable Rust without `unsafe` or nightly intrinsics.
 //!
-//! The public un-suffixed functions ([`matmul_into`], [`relu`],
-//! [`add_assign`], [`adam_update`]) are the *active* dispatch: they call
-//! the lane kernels by default and the scalar oracle when the crate is
-//! built with the `scalar-kernels` feature. Both flavors are always
+//! The public un-suffixed functions ([`matmul_into`], [`matmul_bt_into`],
+//! [`relu`], [`add_assign`], [`adam_update`]) are the *active* dispatch:
+//! they call the lane kernels by default and the scalar oracle when the
+//! crate is built with the `scalar-kernels` feature. Both flavors are always
 //! compiled regardless of the feature, so one test binary can compare them
 //! directly and one bench binary can measure the speedup.
 //!
@@ -174,6 +175,134 @@ fn matmul_col_tile<const N: usize>(
     }
 }
 
+#[inline]
+fn check_matmul_bt(a: &[f32], rows: usize, inner: usize, b: &[f32], cols: usize, out: &[f32]) {
+    assert_eq!(a.len(), rows * inner, "matmul_bt lhs data/shape mismatch");
+    assert_eq!(b.len(), cols * inner, "matmul_bt rhs data/shape mismatch");
+    assert_eq!(out.len(), rows * cols, "matmul_bt out data/shape mismatch");
+}
+
+/// `out += a × bᵀ` over row-major slices, with `b` stored `cols × inner`
+/// and read in place — scalar oracle.
+///
+/// Element `(i, j)` is the same ascending-`k` chain, with the same
+/// `a == 0` skip, that [`matmul_into_scalar`] runs on `a` and an
+/// explicitly transposed `b`; only the addressing of `b` differs. The
+/// tape's backward pass uses it for `dx = g·Wᵀ` without copying `W`.
+pub fn matmul_bt_into_scalar(
+    a: &[f32],
+    rows: usize,
+    inner: usize,
+    b: &[f32],
+    cols: usize,
+    out: &mut [f32],
+) {
+    check_matmul_bt(a, rows, inner, b, cols, out);
+    for i in 0..rows {
+        let out_row = &mut out[i * cols..(i + 1) * cols];
+        for k in 0..inner {
+            let av = a[i * inner + k];
+            if av == 0.0 {
+                continue;
+            }
+            for (j, o) in out_row.iter_mut().enumerate() {
+                *o += av * b[j * inner + k];
+            }
+        }
+    }
+}
+
+/// `out += a × bᵀ` with `b` stored `cols × inner` — 8-wide lane kernel.
+///
+/// The per-element chain is [`matmul_into_lanes`]'s on a transposed `b`:
+/// one register accumulator per output column, ascending `k`, the
+/// `a == 0` skip, the `target_feature = "fma"` branch and one final add
+/// into `out`. Lanes run across output columns, so each lane walks its
+/// own row of `b`.
+pub fn matmul_bt_into_lanes(
+    a: &[f32],
+    rows: usize,
+    inner: usize,
+    b: &[f32],
+    cols: usize,
+    out: &mut [f32],
+) {
+    check_matmul_bt(a, rows, inner, b, cols, out);
+    for i in 0..rows {
+        let a_row = &a[i * inner..(i + 1) * inner];
+        let out_row = &mut out[i * cols..(i + 1) * cols];
+        let mut j = 0;
+        while j + LANES <= cols {
+            matmul_bt_col_tile::<LANES>(a_row, b, j, out_row);
+            j += LANES;
+        }
+        match cols - j {
+            0 => {}
+            1 => matmul_bt_col_tile::<1>(a_row, b, j, out_row),
+            2 => matmul_bt_col_tile::<2>(a_row, b, j, out_row),
+            3 => matmul_bt_col_tile::<3>(a_row, b, j, out_row),
+            4 => matmul_bt_col_tile::<4>(a_row, b, j, out_row),
+            5 => matmul_bt_col_tile::<5>(a_row, b, j, out_row),
+            6 => matmul_bt_col_tile::<6>(a_row, b, j, out_row),
+            _ => matmul_bt_col_tile::<7>(a_row, b, j, out_row),
+        }
+    }
+}
+
+/// One register tile of [`matmul_bt_into_lanes`]: output columns
+/// `j..j+N`, i.e. rows `j..j+N` of `b`.
+#[inline(always)]
+fn matmul_bt_col_tile<const N: usize>(a_row: &[f32], b: &[f32], j: usize, out_row: &mut [f32]) {
+    let inner = a_row.len();
+    let b_rows: [&[f32]; N] = std::array::from_fn(|l| &b[(j + l) * inner..(j + l + 1) * inner]);
+    let mut acc = [0.0f32; N];
+    for (k, &av) in a_row.iter().enumerate() {
+        if av == 0.0 {
+            continue;
+        }
+        for l in 0..N {
+            // Same FMA policy as `matmul_col_tile`.
+            if cfg!(target_feature = "fma") {
+                acc[l] = av.mul_add(b_rows[l][k], acc[l]);
+            } else {
+                acc[l] += av * b_rows[l][k];
+            }
+        }
+    }
+    let out_blk: &mut [f32; N] = (&mut out_row[j..j + N]).try_into().expect("lane tile");
+    for l in 0..N {
+        out_blk[l] += acc[l];
+    }
+}
+
+/// `out += xᵀ × g` for a single row `x` (`rows` long) and `g` (`cols`
+/// long): the rank-1 weight gradient of a one-row `x·W`, added straight
+/// into `out` (`rows × cols`).
+///
+/// Each element receives one product `x[i]·g[j]`, skipped when
+/// `x[i] == 0` as [`matmul_into`] skips it, so the kernels' product
+/// rounding is kept and there is no chain to reorder. Added into a
+/// gradient that started at `+0.0`, this equals materializing `xᵀ·g`
+/// with [`matmul_into`] and adding it, bit for bit: the materialized
+/// element is `(+0 + x·g) + 0`, which differs from `x·g` only in turning
+/// `-0.0` into `+0.0`, and a sum that started at `+0.0` never holds
+/// `-0.0`, so adding either zero leaves it unchanged.
+pub fn rank1_add(x: &[f32], g: &[f32], out: &mut [f32]) {
+    assert_eq!(
+        out.len(),
+        x.len() * g.len(),
+        "rank1 out data/shape mismatch"
+    );
+    for (&xv, out_row) in x.iter().zip(out.chunks_exact_mut(g.len().max(1))) {
+        if xv == 0.0 {
+            continue;
+        }
+        for (o, &gv) in out_row.iter_mut().zip(g) {
+            *o += xv * gv;
+        }
+    }
+}
+
 /// In-place ReLU — scalar oracle.
 pub fn relu_scalar(data: &mut [f32]) {
     for v in data {
@@ -301,6 +430,22 @@ pub fn matmul_into(a: &[f32], rows: usize, inner: usize, b: &[f32], cols: usize,
     matmul_into_scalar(a, rows, inner, b, cols, out);
     #[cfg(not(feature = "scalar-kernels"))]
     matmul_into_lanes(a, rows, inner, b, cols, out);
+}
+
+/// `out += a × bᵀ` (`b` stored `cols × inner`) with the active kernel
+/// flavor.
+pub fn matmul_bt_into(
+    a: &[f32],
+    rows: usize,
+    inner: usize,
+    b: &[f32],
+    cols: usize,
+    out: &mut [f32],
+) {
+    #[cfg(feature = "scalar-kernels")]
+    matmul_bt_into_scalar(a, rows, inner, b, cols, out);
+    #[cfg(not(feature = "scalar-kernels"))]
+    matmul_bt_into_lanes(a, rows, inner, b, cols, out);
 }
 
 /// In-place ReLU with the active kernel flavor.

@@ -83,11 +83,17 @@ impl ParamStore {
 
     /// Add `g` into the parameter's gradient accumulator.
     pub fn accumulate_grad(&mut self, id: ParamId, g: &Matrix) {
+        self.grad_mut(id).add_assign(g);
+    }
+
+    /// The parameter's gradient accumulator, allocated as `+0.0` zeros on
+    /// first touch. Every contribution, the first one included, is added
+    /// into it, so the sum never holds `-0.0` (an IEEE sum is `-0.0` only
+    /// when both operands are).
+    pub(crate) fn grad_mut(&mut self, id: ParamId) -> &mut Matrix {
         let p = &mut self.params[id.0];
-        match &mut p.grad {
-            Some(existing) => existing.add_assign(g),
-            slot @ None => *slot = Some(g.clone()),
-        }
+        let (rows, cols) = p.value.shape();
+        p.grad.get_or_insert_with(|| Matrix::zeros(rows, cols))
     }
 
     /// Reset all gradients to zero (keeps allocations).
@@ -220,28 +226,38 @@ impl Linear {
         }
     }
 
+    /// Taped forward pass: one fused [`Tape::linear`] node that reads the
+    /// weights from the store.
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
-        let w = tape.param(store, self.w);
-        let b = tape.param(store, self.b);
-        let xw = tape.matmul(x, w);
-        tape.add_row(xw, b)
+        tape.linear(x, store, self.w, self.b)
     }
 
     /// Tapeless forward pass: `x·W + b` computed directly against the
-    /// store's weights (no tape nodes, no weight clones). Produces the
-    /// same `f32` values as [`Linear::forward`] — both use
-    /// [`Matrix::matmul_into`] and add the bias after accumulation.
+    /// store's weights (no tape nodes). Produces the same `f32` values as
+    /// [`Linear::forward`]; both go through `Linear::affine_into`.
     pub fn infer(&self, store: &ParamStore, x: &Matrix, scratch: &mut Scratch) -> Matrix {
-        let w = store.value(self.w);
-        let b = store.value(self.b);
         let mut out = scratch.zeros(x.rows, self.out_dim);
-        x.matmul_into(w, &mut out);
-        for r in 0..out.rows {
-            for c in 0..out.cols {
-                out.data[r * out.cols + c] += b.data[c];
+        Self::affine_into(store, self.w, self.b, x, &mut out);
+        out
+    }
+
+    /// `out = x·W + b` into a pre-zeroed `out`: [`Matrix::matmul_into`],
+    /// then the bias added row by row — the arithmetic of the tape's
+    /// `matmul` followed by `add_row`.
+    pub(crate) fn affine_into(
+        store: &ParamStore,
+        w: ParamId,
+        b: ParamId,
+        x: &Matrix,
+        out: &mut Matrix,
+    ) {
+        x.matmul_into(store.value(w), out);
+        let bias = &store.value(b).data[..out.cols];
+        for row in out.data.chunks_exact_mut(out.cols.max(1)) {
+            for (o, &bv) in row.iter_mut().zip(bias) {
+                *o += bv;
             }
         }
-        out
     }
 
     /// Width-checked [`Linear::infer`]: verifies the input width against

@@ -8,7 +8,8 @@
 //!
 //! * [`matrix`] — a dense row-major `f32` matrix.
 //! * [`tape`] — reverse-mode autodiff over matrices with a fixed op set
-//!   (matmul, broadcast add, ReLU/tanh, concat, element-wise mean of
+//!   (a fused `x·W + b` layer op that reads weights from the store,
+//!   matmul, broadcast add, ReLU/tanh, concat, element-wise mean of
 //!   several inputs, losses). Gradients are checked against central finite
 //!   differences in [`gradcheck`].
 //! * [`layers`] — parameter store, `Linear` and `Mlp` modules, each with
@@ -16,8 +17,9 @@
 //! * [`infer`] — the tapeless inference support: a reusable [`infer::Scratch`]
 //!   buffer arena plus aggregation helpers that mirror the tape ops'
 //!   accumulation order exactly.
-//! * [`kernels`] — the dense `f32` hot-path kernels (matmul, ReLU, add,
-//!   Adam update), each as an 8-wide lane kernel *and* a scalar oracle.
+//! * [`kernels`] — the dense `f32` hot-path kernels (matmul, `a × bᵀ`,
+//!   ReLU, add, Adam update), each as an 8-wide lane kernel *and* a scalar
+//!   oracle.
 //!   The lane flavor is the default; building with the `scalar-kernels`
 //!   feature switches every dispatch site back to the oracle, and the two
 //!   are pinned bitwise-equal by `tests/kernel_equivalence.rs`.

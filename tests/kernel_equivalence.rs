@@ -36,8 +36,9 @@ use zerotune::core::train::{train, TrainConfig};
 use zerotune::dspsim::cluster::{Cluster, ClusterType};
 use zerotune::dspsim::placement::ChainingMode;
 use zerotune::nn::kernels::{
-    adam_update_lanes, adam_update_scalar, add_assign_lanes, add_assign_scalar, matmul_into_lanes,
-    matmul_into_scalar, relu_lanes, relu_scalar, AdamStep, ACTIVE_KERNELS, LANES,
+    adam_update_lanes, adam_update_scalar, add_assign_lanes, add_assign_scalar,
+    matmul_bt_into_lanes, matmul_bt_into_scalar, matmul_into_lanes, matmul_into_scalar, rank1_add,
+    relu_lanes, relu_scalar, AdamStep, ACTIVE_KERNELS, LANES,
 };
 use zerotune::nn::Scratch;
 use zerotune::query::{ParallelQueryPlan, QueryGenerator, QueryStructure};
@@ -162,6 +163,66 @@ proptest! {
         matmul_into_scalar(&a, rows, inner, &b, cols, &mut out_s);
         matmul_into_lanes(&a, rows, inner, &b, cols, &mut out_l);
         assert_matmul_policy(&a, &b, rows, inner, cols, &out_s, &out_l, &out0, false)?;
+    }
+
+    /// `a × bᵀ` read in place (the tape's `dx = g·Wᵀ`): the lane kernel
+    /// meets its scalar twin under the matmul policy, and each flavor is
+    /// bitwise equal to the plain matmul of the same flavor on an
+    /// explicitly transposed `b` — the computation it replaces.
+    #[test]
+    fn matmul_bt_matches_twin_and_transposed_matmul(
+        rows in 0usize..6,
+        inner in 0usize..40,
+        cols in 0usize..40,
+        seed in 0u64..1_000_000,
+        zero_every in 0usize..6,
+    ) {
+        let a = fill(seed, rows * inner, zero_every);
+        let b = fill(seed ^ 0xB, cols * inner, 0);
+        let mut b_t = vec![0.0f32; inner * cols];
+        for j in 0..cols {
+            for k in 0..inner {
+                b_t[k * cols + j] = b[j * inner + k];
+            }
+        }
+        let out0 = vec![0.0f32; rows * cols];
+        let (mut bt_s, mut bt_l) = (out0.clone(), out0.clone());
+        matmul_bt_into_scalar(&a, rows, inner, &b, cols, &mut bt_s);
+        matmul_bt_into_lanes(&a, rows, inner, &b, cols, &mut bt_l);
+        assert_matmul_policy(&a, &b_t, rows, inner, cols, &bt_s, &bt_l, &out0, false)?;
+
+        let (mut mm_s, mut mm_l) = (out0.clone(), out0.clone());
+        matmul_into_scalar(&a, rows, inner, &b_t, cols, &mut mm_s);
+        matmul_into_lanes(&a, rows, inner, &b_t, cols, &mut mm_l);
+        prop_assert_eq!(bits(&bt_s), bits(&mm_s));
+        prop_assert_eq!(bits(&bt_l), bits(&mm_l));
+    }
+
+    /// The rank-1 weight gradient added into a `+0.0`-started gradient
+    /// equals materializing `xᵀ·g` with either matmul flavor and adding
+    /// it, bit for bit — also when accumulated over several samples.
+    #[test]
+    fn rank1_add_matches_materialized_outer_product(
+        inner in 0usize..24,
+        cols in 0usize..24,
+        seed in 0u64..1_000_000,
+        zero_every in 0usize..4,
+    ) {
+        let mut direct = vec![0.0f32; inner * cols];
+        let mut via_scalar = direct.clone();
+        let mut via_lanes = direct.clone();
+        for sample in 0..3u64 {
+            let x = fill(seed ^ sample, inner, zero_every);
+            let g = fill(seed ^ (sample << 8) ^ 0xD, cols, zero_every);
+            rank1_add(&x, &g, &mut direct);
+            let (mut dw_s, mut dw_l) = (vec![0.0f32; inner * cols], vec![0.0f32; inner * cols]);
+            matmul_into_scalar(&x, inner, 1, &g, cols, &mut dw_s);
+            matmul_into_lanes(&x, inner, 1, &g, cols, &mut dw_l);
+            add_assign_scalar(&mut via_scalar, &dw_s);
+            add_assign_scalar(&mut via_lanes, &dw_l);
+        }
+        prop_assert_eq!(bits(&direct), bits(&via_scalar));
+        prop_assert_eq!(bits(&direct), bits(&via_lanes));
     }
 
     /// ReLU and add are element-wise: lane blocking cannot reorder

@@ -765,6 +765,26 @@ fn overload_sheds_with_503_instead_of_hanging() {
 }
 
 #[test]
+fn deeply_nested_body_is_a_400_and_the_daemon_stays_up() {
+    let _g = lock();
+    let handle = boot(ephemeral());
+    // 10,000 nested arrays used to overflow a worker's stack, which
+    // aborts the whole process.
+    let deep = format!("{{\"plan\":{}", "[".repeat(10_000));
+    let resp = http_request(handle.addr(), "POST", "/predict", Some(&deep)).expect("rt");
+    assert_eq!(
+        (resp.status, error_code(&resp.body).as_str()),
+        (400, "bad_json")
+    );
+    let resp = http_request(handle.addr(), "GET", "/healthz", None).expect("healthz");
+    assert_eq!(resp.status, 200);
+    let body = deployment_body(&spike_detection(900.0), None);
+    let resp = http_request(handle.addr(), "POST", "/predict", Some(&body)).expect("predict");
+    assert_eq!(resp.status, 200);
+    handle.shutdown();
+}
+
+#[test]
 fn healthz_reports_versioned_state() {
     let _g = lock();
     let handle = boot(ephemeral());
